@@ -6,7 +6,7 @@ form-factors under the geometric-point parametrization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 
 from .errors import ExactDivisionError
 from .qexact import IndexTuples, LaurentPoly, exact_det, exact_half, q_binomial_determinant
@@ -29,37 +29,61 @@ def q_power_points(N: int, start: int = 1) -> tuple[LaurentPoly, ...]:
     return tuple(LaurentPoly.monomial(1, start + i) for i in range(N))
 
 
+def _box_exponents(L: int, N: int, P: int) -> tuple[list[int], list[int]]:
+    """Exponents a, b of prod (1 - q^a) / prod (1 - q^b) for an L x N x P box."""
+    if L < 0 or N < 0 or P < 0:
+        raise ValueError("box sides must be non-negative")
+    cells = [(j, k) for j in range(1, L + 1) for k in range(1, N + 1)]
+    return [P + j + k - 1 for j, k in cells], [j + k - 1 for j, k in cells]
+
+
+def _cspp_exponents(N: int, P: int) -> tuple[list[int], list[int]]:
+    """The same for column-strict arrays in an N x N x P box."""
+    if N < 0 or (N > 0 and P < N - 1):
+        raise ValueError(f"need N >= 0 and P >= N-1 for column-strict arrays, got N={N}, P={P}")
+    cells = [(j, k) for j in range(1, N + 1) for k in range(1, N + 1)]
+    return [P + 1 + j - k for j, k in cells], [j + k - 1 for j, k in cells]
+
+
+def _q_ratio(num: list[int], den: list[int]) -> LaurentPoly:
+    """prod (1 - q^a) / prod (1 - q^b) over a in num, b in den, on one integer list:
+    1 - q^a multiplies by shift-and-subtract, 1 - q^b divides by a stride-b
+    prefix sum whose top b entries (the remainder) must vanish."""
+    c = [1] + [0] * sum(num)
+    deg = 0
+    for a in num:
+        deg += a
+        for i in range(deg, a - 1, -1):
+            c[i] -= c[i - a]
+    for b in den:  # all of num is in, so each 1 - q^b divides what is left
+        for i in range(b, deg + 1):
+            c[i] += c[i - b]
+        if any(c[deg - b + 1:deg + 1]):  # pragma: no cover - would be a bug
+            raise ExactDivisionError(f"generating function failed to divide by 1 - q^{b}")
+        deg -= b
+    return LaurentPoly(dict(enumerate(c[:deg + 1])))
+
+
+def _int_ratio(num: list[int], den: list[int]) -> int:
+    """prod(num) / prod(den), which must be an integer."""
+    quot, rem = divmod(prod(num), prod(den))
+    if rem:  # pragma: no cover - the product formulas are always integral
+        raise ExactDivisionError("box count did not reduce to an integer")
+    return quot
+
+
 def zq(L: int, N: int, P: int) -> LaurentPoly:
     """Volume generating function of plane partitions in an L x N x P box.
 
-    prod_{j<=L, k<=N} (1 - q^(P+j+k-1)) / (1 - q^(j+k-1)), evaluated by one
-    exact division; symmetric in all three box sides.
+    prod_{j<=L, k<=N} (1 - q^(P+j+k-1)) / (1 - q^(j+k-1)); symmetric in all
+    three box sides.
     """
-    if L < 0 or N < 0 or P < 0:
-        raise ValueError("box sides must be non-negative")
-    num = LaurentPoly.const(1)
-    den = LaurentPoly.const(1)
-    for j in range(1, L + 1):
-        for k in range(1, N + 1):
-            num = num * (1 - LaurentPoly.monomial(1, P + j + k - 1))
-            den = den * (1 - LaurentPoly.monomial(1, j + k - 1))
-    try:
-        return num.exact_div(den)
-    except ExactDivisionError as exc:  # pragma: no cover - would be a bug
-        raise ExactDivisionError(f"box generating function failed to divide: {exc}") from exc
+    return _q_ratio(*_box_exponents(L, N, P))
 
 
 def macmahon(L: int, N: int, P: int) -> int:
     """Number of plane partitions in an L x N x P box, exactly."""
-    if L < 0 or N < 0 or P < 0:
-        raise ValueError("box sides must be non-negative")
-    out = Fraction(1)
-    for j in range(1, L + 1):
-        for k in range(1, N + 1):
-            out *= Fraction(P + j + k - 1, j + k - 1)
-    if out.denominator != 1:  # pragma: no cover - product is always integral
-        raise ExactDivisionError("box count did not reduce to an integer")
-    return int(out)
+    return _int_ratio(*_box_exponents(L, N, P))
 
 
 def zq_cspp(N: int, P: int) -> LaurentPoly:
@@ -68,33 +92,12 @@ def zq_cspp(N: int, P: int) -> LaurentPoly:
     q^(N^2(N-1)/2) * prod_{j,k<=N} (1 - q^(P+1+j-k)) / (1 - q^(j+k-1)); the
     prefactor is the volume of the minimal (staircase) array.
     """
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    if N > 0 and P < N - 1:
-        raise ValueError(f"need P >= N-1 for column-strict arrays, got N={N}, P={P}")
-    num = LaurentPoly.const(1)
-    den = LaurentPoly.const(1)
-    for j in range(1, N + 1):
-        for k in range(1, N + 1):
-            num = num * (1 - LaurentPoly.monomial(1, P + 1 + j - k))
-            den = den * (1 - LaurentPoly.monomial(1, j + k - 1))
-    out = num.exact_div(den)
-    return LaurentPoly.monomial(1, exact_half(N * N * (N - 1))) * out
+    return _q_ratio(*_cspp_exponents(N, P)).shift(exact_half(N * N * (N - 1)))
 
 
 def a_cspp(N: int, P: int) -> int:
     """Number of column-strict arrays in an N x N x P box, exactly."""
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    if N > 0 and P < N - 1:
-        raise ValueError(f"need P >= N-1, got N={N}, P={P}")
-    out = Fraction(1)
-    for j in range(1, N + 1):
-        for k in range(1, N + 1):
-            out *= Fraction(P + 1 + j - k, j + k - 1)
-    if out.denominator != 1:  # pragma: no cover
-        raise ExactDivisionError("column-strict count did not reduce to an integer")
-    return int(out)
+    return _int_ratio(*_cspp_exponents(N, P))
 
 
 def kuperberg_matrix(L: int, N: int, P: int) -> list[list[LaurentPoly]]:
@@ -151,15 +154,11 @@ def box_det_identity(L: int, N: int, P: int) -> BoxDetIdentityReport:
     det = exact_det(kuperberg_matrix(L, N, P))
     v_qn = vandermonde(q_power_points(N, start=1))
     v_ql = vandermonde(q_power_points(L, start=0))
-    v_qn = v_qn if isinstance(v_qn, LaurentPoly) else LaurentPoly.const(v_qn)
     norm = v_qn * v_ql
     det_value = LaurentPoly.monomial(1, -exact_half(L * (L - 1) * (N - L))) * det.exact_div(norm)
 
-    if cal_p == 0:
-        qbd = LaurentPoly.const(1)
-    else:
-        t = IndexTuples(tuple(range(L + N, L + N + cal_p)), tuple(range(L, L + cal_p)))
-        qbd = q_binomial_determinant(t)
+    t = IndexTuples(tuple(range(L + N, L + N + cal_p)), tuple(range(L, L + cal_p)))
+    qbd = q_binomial_determinant(t)  # the empty determinant is 1 when cal_p == 0
     qbd_value = LaurentPoly.monomial(1, -exact_half(N * (cal_p - 1) * cal_p)) * qbd
 
     zq_value = zq(L, N, cal_p)

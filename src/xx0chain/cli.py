@@ -13,6 +13,7 @@ maps.  Exit codes: 0 ok, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -171,6 +172,11 @@ def cmd_count(args) -> int:
 # -- verify --------------------------------------------------------------
 
 
+def _worst(*devs: float) -> float:
+    """The largest deviation; NaN when any is NaN, so that the suite fails."""
+    return math.nan if any(math.isnan(d) for d in devs) else max(devs)
+
+
 def _suite_binet_cauchy(args) -> tuple[bool, float]:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -187,7 +193,7 @@ def _suite_binet_cauchy(args) -> tuple[bool, float]:
                         injected = False
                     brute = schur.binet_cauchy_bruteforce(L, n, y, x, max_terms=args.budget)
                     scale = max(abs(kern), abs(brute), 1.0)
-                    worst = max(worst, abs(kern - brute) / scale)
+                    worst = _worst(worst, abs(kern - brute) / scale)
     return worst <= args.tol, worst
 
 
@@ -204,7 +210,7 @@ def _suite_schur_block_sum(args) -> tuple[bool, float]:
                 pref = np.prod([complex(x) ** (2 * n) for x in u]) if len(u) else 1.0
                 det_form = xx0core.domain_wall_formfactor(v, u, n, M) / pref
                 scale = max(abs(brute), abs(det_form), 1.0)
-                worst = max(worst, abs(brute - det_form) / scale)
+                worst = _worst(worst, abs(brute - det_form) / scale)
     return worst <= args.tol, worst
 
 
@@ -227,13 +233,11 @@ def _suite_orthogonality(args) -> tuple[bool, float]:
                 ui = tuple(np.exp(0.5j * np.asarray(si.roots)))
                 norm_i = xx0core.norm_squared(si)
                 got = xx0core.scalar_product(ui, ui, M)
-                worst = max(worst, abs(got - norm_i) / norm_i)
+                worst = _worst(worst, abs(got - norm_i) / norm_i)
                 for sj in states[i + 1:]:
                     uj = tuple(np.exp(0.5j * np.asarray(sj.roots)))
                     sp = xx0core.scalar_product(ui, uj, M)
-                    worst = max(
-                        worst, abs(sp) / math.sqrt(norm_i * xx0core.norm_squared(sj))
-                    )
+                    worst = _worst(worst, abs(sp) / math.sqrt(norm_i * xx0core.norm_squared(sj)))
     return worst <= args.tol, worst
 
 
@@ -248,7 +252,7 @@ def _suite_identity_resolution(args) -> tuple[bool, float]:
                     tuple(np.exp(0.5j * np.asarray(state.roots))), M, N
                 )
                 acc += np.outer(vec, vec.conj()) / xx0core.norm_squared(state)
-            worst = max(worst, float(np.max(np.abs(acc - np.eye(basis.dim)))))
+            worst = _worst(worst, float(np.max(np.abs(acc - np.eye(basis.dim)))))
     return worst <= args.tol, worst
 
 
@@ -268,10 +272,13 @@ def _suite_correlators(args) -> tuple[bool, float]:
                                 M, N, n, beta, method="spectral_sum"
                             ).value
                         c = edoracle.oracle_correlator(kind, M, N, n, beta)
+                        if not all(map(cmath.isfinite, (a, b, c))):
+                            worst = math.nan
+                            continue
                         scale = max(abs(a), abs(b), abs(c))
                         if scale < 1e-12:
                             continue  # all three vanish (n exceeds the empty-site capacity)
-                        worst = max(worst, abs(a - b) / scale, abs(a - c) / scale)
+                        worst = _worst(worst, abs(a - b) / scale, abs(a - c) / scale)
     return worst <= args.tol, worst
 
 
@@ -327,11 +334,13 @@ def cmd_asym(args) -> int:
                     exact_ok = M <= args.exact_max_M and (args.kind == "ferro" or n <= N)
                     if exact_ok:
                         if args.kind == "ferro":
-                            val = xx0core.persistence_ferro(M, N, n, beta).value.real
+                            res = xx0core.persistence_ferro(M, N, n, beta)
                         else:
-                            val = xx0core.persistence_domain_wall(M, N, n, beta).value.real
-                        row["exact_log"] = _fmt(math.log(val)) if val > 0 else "nonpositive"
-                        row["status"] = "ok"
+                            res = xx0core.persistence_domain_wall(M, N, n, beta)
+                        val = res.value.real
+                        row["exact_log"] = "nonpositive" if val <= 0 else _fmt(math.log(val))
+                        trusted = math.isfinite(val) and val > 0 and not res.warnings
+                        row["status"] = "ok" if trusted else "unreliable"
                     else:
                         row["exact_log"] = ""
                         row["status"] = "asym-only"

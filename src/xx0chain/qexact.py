@@ -5,10 +5,18 @@ q-combinatorics: Gaussian (q-)binomial coefficients, the q-Vandermonde
 convolution, binomial and q-binomial determinants, and a fraction-free
 determinant over the Laurent ring.  Identities in this layer are checked as
 coefficient-wise equalities, never by sampling q numerically.
+
+Everything runs on Python integers.  A polynomial is a dense coefficient
+list; products go through one big-integer multiplication (Kronecker
+substitution) and exact division is integer long division that raises on a
+non-integer quotient coefficient or a nonzero remainder.  One Bareiss
+elimination, parameterised by the ring's exact division, gives the
+determinants over the integers, the rationals and the Laurent ring.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,22 +53,35 @@ def exact_half(n: int) -> int:
 class LaurentPoly:
     """Immutable Laurent polynomial in q with integer coefficients.
 
-    Stored canonically as a map exponent -> nonzero coefficient; exponents
-    may be negative.  Arithmetic mixes freely with ints.  Division exists
-    only as :meth:`exact_div`, which insists on a zero remainder.
+    Stored densely as the lowest exponent and the list of coefficients from
+    there up, trimmed so that both ends are nonzero; the zero polynomial is
+    (0, []).  Exponents may be negative.  Arithmetic mixes freely with ints.
+    Division exists only as :meth:`exact_div`, which insists on an integer
+    quotient and a zero remainder.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_lo", "_v")
 
     def __init__(self, coeffs=None):
-        c: dict[int, int] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                e = int(e)
-                v = int(v)
-                if v:
-                    c[e] = v
-        self._c = c
+        c = {int(e): int(v) for e, v in coeffs.items()} if coeffs else {}
+        lo = min(c, default=0)
+        v = [0] * (max(c, default=lo - 1) - lo + 1)
+        for e, x in c.items():
+            v[e - lo] = x
+        trimmed = LaurentPoly._new(lo, v)
+        self._lo, self._v = trimmed._lo, trimmed._v
+
+    @staticmethod
+    def _new(lo: int, v: list[int]) -> "LaurentPoly":
+        """Wrap a dense coefficient list starting at exponent lo, trimming zero ends."""
+        start, stop = 0, len(v)
+        while stop and not v[stop - 1]:
+            stop -= 1
+        while start < stop and not v[start]:
+            start += 1
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._lo, out._v = (lo + start, v[start:stop]) if stop else (0, [])
+        return out
 
     @classmethod
     def monomial(cls, coeff: int, exponent: int) -> "LaurentPoly":
@@ -73,29 +94,30 @@ class LaurentPoly:
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._v
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._v)
 
     def support(self) -> list[int]:
-        return sorted(self._c)
+        return [self._lo + i for i, v in enumerate(self._v) if v]
 
     def coefficient(self, exponent: int) -> int:
-        return self._c.get(exponent, 0)
+        i = exponent - self._lo
+        return self._v[i] if 0 <= i < len(self._v) else 0
 
     def coeffs(self) -> dict[int, int]:
-        return dict(self._c)
+        return {self._lo + i: v for i, v in enumerate(self._v) if v}
 
     def min_exponent(self) -> int:
-        if not self._c:
+        if not self._v:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._c)
+        return self._lo
 
     def degree(self) -> int:
-        if not self._c:
+        if not self._v:
             raise ValueError("zero polynomial has no degree")
-        return max(self._c)
+        return self._lo + len(self._v) - 1
 
     # -- ring operations ----------------------------------------------
 
@@ -111,23 +133,19 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        if not o._v or not self._v:
+            return self if self._v else o
+        lo = min(self._lo, o._lo)
+        v = [0] * (max(self._lo + len(self._v), o._lo + len(o._v)) - lo)
+        for p in (self, o):
+            for i, c in enumerate(p._v, p._lo - lo):
+                v[i] += c
+        return LaurentPoly._new(lo, v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        return LaurentPoly._new(self._lo, [-v for v in self._v])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -145,18 +163,26 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in o._c.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        a, b = self._v, o._v
+        if not a or not b:
+            return _ZERO
+        # Kronecker substitution: evaluate both factors at 256**nb, multiply
+        # the two integers and read the product's coefficients back as its
+        # base-256**nb digits.  Every product coefficient is below half in
+        # absolute value, so adding half to each digit keeps it in range.
+        n = len(a) + len(b) - 1
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        nb = bound.bit_length() // 8 + 1
+        half = 1 << (8 * nb - 1)
+        bias = half.to_bytes(nb, "little")
+
+        def pack(v):
+            digits = b"".join((c + half).to_bytes(nb, "little") for c in v)
+            return int.from_bytes(digits, "little") - int.from_bytes(bias * len(v), "little")
+
+        buf = (pack(a) * pack(b) + int.from_bytes(bias * n, "little")).to_bytes(n * nb, "little")
+        v = [int.from_bytes(buf[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
+        return LaurentPoly._new(self._lo + o._lo, v)
 
     __rmul__ = __mul__
 
@@ -164,10 +190,8 @@ class LaurentPoly:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            if len(self._c) == 1:
-                ((e, v),) = self._c.items()
-                if v in (1, -1):
-                    return LaurentPoly({e * k: v if k % 2 else 1})
+            if len(self._v) == 1 and self._v[0] in (1, -1):
+                return LaurentPoly({self._lo * k: self._v[0] if k % 2 else 1})
             raise ValueError("negative powers only for unit monomials")
         result = LaurentPoly({0: 1})
         base = self
@@ -182,75 +206,67 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._c == o._c
+        return self._lo == o._lo and self._v == o._v
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q**k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: v for e, v in self._c.items()}
-        return out
+        return LaurentPoly._new(self._lo + k, self._v)
 
     # -- evaluation -----------------------------------------------------
 
     def at_one(self) -> int:
-        return sum(self._c.values())
+        return sum(self._v)
 
     def evaluate(self, x):
         """Evaluate at a numeric point (complex, float, Fraction, int)."""
         total = 0
-        for e, v in self._c.items():
+        for e, v in self.coeffs().items():
             total += v * x**e
         return total
 
     def exact_div(self, other) -> "LaurentPoly":
-        """Exact division; raises ExactDivisionError on a nonzero remainder."""
+        """Exact division by integer long division.
+
+        Raises ExactDivisionError when a quotient coefficient is not an
+        integer or the remainder is nonzero.
+        """
         o = self._coerce(other)
         if o is None or o.is_zero():
             raise ExactDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly()
-        smin, omin = self.min_exponent(), o.min_exponent()
-        dn = self.degree() - smin
-        dd = o.degree() - omin
-        if dn < dd:
+        num, den = list(self._v), o._v
+        dd = len(den) - 1
+        if len(num) <= dd:
             raise ExactDivisionError("quotient would not be polynomial")
-        num = [Fraction(self._c.get(e + smin, 0)) for e in range(dn + 1)]
-        den = [Fraction(o._c.get(e + omin, 0)) for e in range(dd + 1)]
-        quot = [Fraction(0)] * (dn - dd + 1)
-        lead = den[-1]
-        for k in range(dn - dd, -1, -1):
-            coef = num[k + dd] / lead
-            quot[k] = coef
-            if coef:
-                for i, dv in enumerate(den):
-                    num[k + i] -= coef * dv
-        if any(num):
-            raise ExactDivisionError("inexact polynomial division (nonzero remainder)")
-        shift = smin - omin
-        coeffs: dict[int, int] = {}
-        for k, c in enumerate(quot):
+        lead, low = den[-1], den[:-1]
+        quot = [0] * (len(num) - dd)
+        for k in range(len(quot) - 1, -1, -1):
+            c, r = divmod(num[k + dd], lead)
+            if r:
+                raise ExactDivisionError("quotient has non-integer coefficients")
             if c:
-                if c.denominator != 1:
-                    raise ExactDivisionError("quotient has non-integer coefficients")
-                coeffs[k + shift] = int(c)
-        return LaurentPoly(coeffs)
+                quot[k] = c
+                num[k:k + dd] = [x - c * d for x, d in zip(num[k:k + dd], low)]
+        if any(num[:dd]):
+            raise ExactDivisionError("inexact polynomial division (nonzero remainder)")
+        return LaurentPoly._new(self._lo - o._lo, quot)
 
     # -- serialization ---------------------------------------------------
 
     def to_json_obj(self) -> dict[str, str]:
         """Bit-exact JSON form: {exponent(str): coefficient(decimal str)}."""
-        return {str(e): str(self._c[e]) for e in sorted(self._c)}
+        return {str(e): str(v) for e, v in self.coeffs().items()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LaurentPoly":
         return cls({int(e): int(v) for e, v in obj.items()})
 
     def __repr__(self):
-        if not self._c:
+        if not self._v:
             return "0"
         terms = []
-        for e in sorted(self._c):
-            v = self._c[e]
+        for e, v in self.coeffs().items():
             if e == 0:
                 terms.append(f"{v}")
             elif e == 1:
@@ -355,7 +371,7 @@ def binomial_determinant(t: IndexTuples) -> int:
     """det( C(a_j, b_i) ) as an exact integer."""
     n = t.size
     rows = [[comb(t.a[j], t.b[i]) for j in range(n)] for i in range(n)]
-    return _det_int(rows)
+    return _bareiss(rows, _int_div, 1)
 
 
 def q_binomial_determinant(t: IndexTuples) -> LaurentPoly:
@@ -387,43 +403,46 @@ def _as_laurent_rows(m) -> list[list[LaurentPoly]]:
 
 
 def exact_det(m) -> LaurentPoly:
-    """Exact determinant of a square LaurentPoly matrix.
+    """Exact determinant of a square LaurentPoly matrix (Bareiss elimination).
 
-    Fraction-free Bareiss elimination; every interior division is exact by
-    construction.  Matrices of size <= 4 are additionally re-evaluated by
-    expansion in minors as a self-check.
+    Every interior division is exact by construction; :func:`det_by_minors`
+    is the independent test oracle.
     """
-    a = _as_laurent_rows(m)
-    n = len(a)
-    det = _bareiss_laurent(a)
-    if 2 <= n <= 4:
-        check = det_by_minors(m)
-        if det != check:
-            raise RuntimeError("internal error: Bareiss and minor expansion disagree")
-    return det
+    return _bareiss(_as_laurent_rows(m), LaurentPoly.exact_div, _ONE)
 
 
-def _bareiss_laurent(a: list[list[LaurentPoly]]) -> LaurentPoly:
+def _bareiss(a: list, div, one):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) in place.
+
+    Works over any ring whose elements support *, - and truth testing;
+    div(x, y) is the ring's exact division and one its unit.
+    """
     n = len(a)
     if n == 0:
-        return _ONE
+        return one
     sign = 1
-    prev = _ONE
+    prev = one
     for k in range(n - 1):
-        if a[k][k].is_zero():
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if not a[i][k].is_zero():
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return _ZERO
+                return a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
+                a[i][j] = div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
         prev = a[k][k]
-    out = a[n - 1][n - 1]
-    return out if sign > 0 else -out
+    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
+def _int_div(x: int, y: int) -> int:
+    quot, rem = divmod(x, y)
+    if rem:
+        raise ExactDivisionError("integer Bareiss division not exact")
+    return quot
 
 
 def det_by_minors(m) -> LaurentPoly:
@@ -448,54 +467,9 @@ def det_by_minors(m) -> LaurentPoly:
     return minor(0, tuple(range(n)))
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Bareiss over the integers; all interior divisions are exact."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                if num % prev:
-                    raise ExactDivisionError("integer Bareiss division not exact")
-                a[i][j] = num // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def exact_det_rational(rows) -> Fraction:
     """Exact determinant of an int/Fraction matrix (Bareiss over Q)."""
     a = [[Fraction(x) for x in r] for r in rows]
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in a):
+    if any(len(r) != len(a) for r in a):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss(a, operator.truediv, Fraction(1))

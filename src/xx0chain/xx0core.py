@@ -127,14 +127,15 @@ def norm_squared(state: BetheState) -> float:
 def _lu_det(rows) -> tuple[complex, float]:
     """Partial-pivoted LU determinant of a small complex matrix.
 
-    Returns (det, pivot ratio max|p|/min|p|); the ratio is inf when singular.
+    Returns (det, pivot ratio max|p|/min|p|); the ratio is inf when singular
+    and NaN when a pivot is NaN.
     """
     a = np.array(rows, dtype=complex)
     n = a.shape[0] if a.ndim == 2 else 0
     if n == 0:
         return 1.0 + 0.0j, 1.0
     det = 1.0 + 0.0j
-    piv_max, piv_min = 0.0, float("inf")
+    mags = []
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[p, k]) == 0.0:
@@ -144,11 +145,10 @@ def _lu_det(rows) -> tuple[complex, float]:
             det = -det
         piv = a[k, k]
         det *= piv
-        piv_max = max(piv_max, abs(piv))
-        piv_min = min(piv_min, abs(piv))
+        mags.append(abs(piv))
         if k + 1 < n:
             a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / piv, a[k, k + 1:])
-    return complex(det), piv_max / piv_min
+    return complex(det), float(np.max(mags) / np.min(mags))
 
 
 def scalar_product(v, u, M: int) -> complex:
@@ -371,7 +371,7 @@ def persistence_ferro(
     warnings: tuple[str, ...] = ()
     if method == "determinant":
         value, ratio = _ferro_det_value(M, N, n, beta)
-        if ratio > PIVOT_RATIO_WARNING:
+        if not ratio <= PIVOT_RATIO_WARNING:  # a NaN ratio is ill-conditioned too
             warnings = (f"ill-conditioned determinant (pivot ratio {ratio:.2e})",)
     elif method == "spectral_sum":
         if comb(M + 1, N) > max_states:
@@ -383,11 +383,15 @@ def persistence_ferro(
         value = acc / (nrm2 * (M + 1) ** N)
     else:
         raise ValueError(f"unknown method {method!r}")
-    value = _realify(value, warnings_out := list(warnings), beta)
+    value = _check_value(value, warnings_out := list(warnings), beta)
     return CorrelatorResult(value, method, params, tuple(warnings_out))
 
 
-def _realify(value: complex, warnings: list[str], beta) -> complex:
+def _check_value(value: complex, warnings: list[str], beta) -> complex:
+    """Append a warning for a non-finite value, or a non-real one at real beta."""
+    if not cmath.isfinite(value):
+        warnings.append(f"non-finite value {value}")
+        return value
     if isinstance(beta, complex) and beta.imag != 0:
         return value
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
@@ -459,7 +463,7 @@ def persistence_domain_wall(
     warnings: tuple[str, ...] = ()
     if method == "determinant":
         value, ratio = _dw_det_value(M, N, n, beta)
-        if ratio > PIVOT_RATIO_WARNING:
+        if not ratio <= PIVOT_RATIO_WARNING:  # a NaN ratio is ill-conditioned too
             warnings = (f"ill-conditioned determinant (pivot ratio {ratio:.2e})",)
     elif method == "spectral_sum":
         if comb(M + 1, N) > max_states:
@@ -471,5 +475,5 @@ def persistence_domain_wall(
         value = acc / (nrm2 * (M + 1) ** N)
     else:
         raise ValueError(f"unknown method {method!r}")
-    value = _realify(value, warnings_out := list(warnings), beta)
+    value = _check_value(value, warnings_out := list(warnings), beta)
     return CorrelatorResult(value, method, params, tuple(warnings_out))

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -92,6 +93,40 @@ class TestGeneratingFunctions:
                     for j in range(1, N + 1)
                 )
                 assert round(math.exp(lg)) == a_cspp(N, P)
+
+    def test_counts_match_fraction_product(self):
+        # the product of ratios taken in Fraction arithmetic is the oracle
+        def fraction_product(factors):
+            out = Fraction(1)
+            for num, den in factors:
+                out *= Fraction(num, den)
+            return out
+
+        for L, N, P in [(0, 3, 2), (1, 1, 1), (3, 4, 5), (7, 2, 11), (12, 12, 12), (30, 30, 30)]:
+            cells = [(j, k) for j in range(1, L + 1) for k in range(1, N + 1)]
+            want = fraction_product((P + j + k - 1, j + k - 1) for j, k in cells)
+            assert macmahon(L, N, P) == want
+        for N, P in [(0, 0), (1, 0), (3, 2), (4, 9), (9, 20), (20, 40)]:
+            cells = [(j, k) for j in range(1, N + 1) for k in range(1, N + 1)]
+            assert a_cspp(N, P) == fraction_product((P + 1 + j - k, j + k - 1) for j, k in cells)
+
+    def test_generating_functions_match_one_polynomial_division(self):
+        # the product of the numerator factors divided once by exact_div
+        def one_division(num, den):
+            top, bottom = LaurentPoly.const(1), LaurentPoly.const(1)
+            for a in num:
+                top = top * (1 - q**a)
+            for b in den:
+                bottom = bottom * (1 - q**b)
+            return top.exact_div(bottom)
+
+        for L, N, P in [(2, 3, 4), (4, 4, 4), (5, 3, 6)]:
+            cells = [(j, k) for j in range(1, L + 1) for k in range(1, N + 1)]
+            assert zq(L, N, P) == one_division([P + j + k - 1 for j, k in cells], [j + k - 1 for j, k in cells])
+        for N, P in [(2, 3), (4, 6), (5, 4)]:
+            cells = [(j, k) for j in range(1, N + 1) for k in range(1, N + 1)]
+            want = one_division([P + 1 + j - k for j, k in cells], [j + k - 1 for j, k in cells])
+            assert zq_cspp(N, P) == want.shift(exact_half(N * N * (N - 1)))
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):

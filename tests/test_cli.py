@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
+import math
 
 import pytest
 
-from xx0chain import cli
+from xx0chain import cli, xx0core
 
 
 def run_cli(argv, capsys):
@@ -101,6 +103,22 @@ class TestCount:
         assert got == want
 
 
+# sha256 of stdout, recorded before the exact layer moved to integer arithmetic
+PINNED_COUNT_OUTPUTS = {
+    "count zq --L 8 --N 8 --P 8": "443e5e1f65f40b4ab82f03013f9c7cc98bb46d57d76b6183697a2676bbf7d24f",
+    "count zq_cspp --N 8 --P 10": "324cc98c39745c76e1940a96f67d552d38ba8006a8d424a4a5e55f50ed59523a",
+    "count qbinom_det --L 5 --N 5 --P 5": "3fb924728eb711d29b9f1faf4b5ca330445f01266dc592507d44bf903bd4bdf1",
+    "count macmahon --L 30 --N 30 --P 30": "bb417b38893ca441c8da6eb21d8af507a934e4ddd420d28233aea616a3f1f79f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_COUNT_OUTPUTS))
+def test_count_output_bytes_pinned(command, capsys):
+    rc, out = run_cli(command.split() + ["--format", "json"], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_COUNT_OUTPUTS[command]
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         rc, out = run_cli(["verify"], capsys)
@@ -116,6 +134,34 @@ class TestVerify:
         rc, out = run_cli(["verify", "--inject-fault"], capsys)
         assert rc == 1
         assert "binet-cauchy: FAIL" in out
+
+    def test_nan_correlator_fails(self, capsys, monkeypatch):
+        # negative control: a NaN value must not fold away as a small deviation
+        def nan_result(M, N, n, beta, method="determinant", max_states=None):
+            return xx0core.CorrelatorResult(complex(math.nan, math.nan), method, (M, N, n, beta))
+
+        monkeypatch.setattr(xx0core, "persistence_ferro", nan_result)
+        rc, out = run_cli(["verify", "--suite", "correlators", "--Mmax", "4", "--Nmax", "2"], capsys)
+        assert rc == 1
+        assert "correlators: FAIL (max deviation nan)" in out
+
+    def test_nan_among_vanishing_values_fails(self, capsys, monkeypatch):
+        # 0, NaN, 0 has scale 0 and must not be skipped as "all three vanish"
+        def ferro(M, N, n, beta, method="determinant", max_states=None):
+            value = complex(math.nan, 0.0) if method == "spectral_sum" else 0j
+            return xx0core.CorrelatorResult(value, method, (M, N, n, beta))
+
+        monkeypatch.setattr(xx0core, "persistence_ferro", ferro)
+        monkeypatch.setattr(cli.edoracle, "oracle_correlator", lambda kind, *args: 0.0)
+        monkeypatch.setattr(xx0core, "persistence_domain_wall", ferro)
+        rc, out = run_cli(["verify", "--suite", "correlators", "--Mmax", "3", "--Nmax", "1"], capsys)
+        assert rc == 1
+        assert "correlators: FAIL (max deviation nan)" in out
+
+    def test_nan_deviation_is_worst(self):
+        assert math.isnan(cli._worst(0.0, math.nan, 1.0))
+        assert math.isnan(cli._worst(math.nan, 0.5))
+        assert cli._worst(0.0, math.inf) == math.inf
 
     def test_suite_filter(self, capsys):
         rc, out = run_cli(["verify", "--suite", "box-determinants", "--Lmax", "4"], capsys)
@@ -168,6 +214,19 @@ class TestAsymCmd:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["status"] == "ok" and rows[0]["exact_log"] != ""
         assert rows[1]["status"] == "asym-only" and rows[1]["exact_log"] == ""
+
+    def test_status_flags_bad_exact_values(self, capsys):
+        # (60,20,3,40) overflows to NaN; (24,20,1,40) is finite but ill-conditioned
+        _, out = run_cli(
+            ["asym", "ferro", "--M", "60", "--N", "20", "--n", "3", "--beta", "1,40", "--exact-max-M", "60"],
+            capsys,
+        )
+        good, nan_row = list(csv.DictReader(io.StringIO(out)))
+        assert good["status"] == "ok" and math.isfinite(float(good["exact_log"]))
+        assert nan_row["exact_log"] == "nan" and nan_row["status"] == "unreliable"
+        _, out = run_cli(["asym", "ferro", "--M", "24", "--N", "20", "--n", "1", "--beta", "40"], capsys)
+        row = list(csv.DictReader(io.StringIO(out)))[0]
+        assert row["status"] == "unreliable"
 
     def test_pieces_sum_to_estimate(self, capsys):
         _, out = run_cli(["asym", "domain_wall", "--M", "30", "--N", "3", "--n", "1", "--beta", "60"], capsys)

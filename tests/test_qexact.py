@@ -1,4 +1,7 @@
 import json
+import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from xx0chain.qexact import (
     binomial_determinant,
     det_by_minors,
     exact_det,
+    exact_det_rational,
     exact_half,
     es_special_L,
     es_special_R,
@@ -27,6 +31,18 @@ from math import comb
 
 def poly(d):
     return LaurentPoly(d)
+
+
+def schoolbook_product(a, b):
+    """Coefficient-by-coefficient product on exponent maps: the oracle for *."""
+    out = {}
+    for e1, v1 in a.coeffs().items():
+        for e2, v2 in b.coeffs().items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return LaurentPoly(out)
+
+
+laurent_maps = st.dictionaries(st.integers(-6, 6), st.integers(-(10**20), 10**20), max_size=6)
 
 
 class TestLaurentPoly:
@@ -59,6 +75,36 @@ class TestLaurentPoly:
         a = 1 - 3 * q + q**4 - q**-2
         b = 2 + q - q**3
         assert (a * b).exact_div(b) == a
+
+    def test_exact_div_inexact_cases_raise(self):
+        with pytest.raises(ExactDivisionError):
+            (1 + q + q**2).exact_div(1 + q)  # remainder 1
+        with pytest.raises(ExactDivisionError):
+            (2 + 2 * q).exact_div(3)  # quotient 2/3 + 2/3 q
+        with pytest.raises(ExactDivisionError):
+            (3 + 3 * q).exact_div(2 + 2 * q)  # quotient 3/2, zero remainder
+        with pytest.raises(ExactDivisionError):
+            (1 + q).exact_div(0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(laurent_maps, laurent_maps.filter(lambda d: any(d.values())))
+    def test_exact_div_roundtrip_property(self, da, db):
+        a, b = poly(da), poly(db)
+        assert (a * b).exact_div(b) == a
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(laurent_maps, laurent_maps)
+    def test_product_matches_schoolbook(self, da, db):
+        a, b = poly(da), poly(db)
+        assert a * b == schoolbook_product(a, b)
+        assert a * 7 == schoolbook_product(a, LaurentPoly.const(7))
+
+    def test_product_of_long_dense_factors(self):
+        rng = random.Random(11)
+        for n, m, mag in ((1, 300, 1), (40, 40, 10**6), (120, 90, 10**40)):
+            a = poly({e - 20: rng.randint(-mag, mag) for e in range(n)})
+            b = poly({e + 3: rng.randint(-mag, mag) for e in range(m)})
+            assert a * b == schoolbook_product(a, b)
 
     def test_json_roundtrip_bit_exact(self):
         p = poly({-3: -1, 0: 1, 7: 123456789012345678901234567890})
@@ -228,6 +274,40 @@ class TestDeterminants:
                     for _ in range(n)
                 ]
                 assert exact_det(m) == det_by_minors(m)
+
+    def test_exact_det_vs_minors_int_and_zero_pivots(self):
+        # integer entries, and matrices whose leading entries vanish so that
+        # elimination must swap rows
+        rng = random.Random(5)
+        for n in (2, 3, 4, 5):
+            for _ in range(10):
+                m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                m[0][0] = 0
+                if rng.random() < 0.5:
+                    m[1][0] = 0
+                want = det_by_minors(m)
+                assert exact_det(m) == want
+                assert exact_det_rational(m) == want.at_one()
+
+    def test_binomial_determinant_vs_minors(self):
+        # C(a_j, b_i) vanishes for a_j < b_i, so these start on zero pivots
+        for a, b in [((1, 3, 5), (2, 3, 4)), ((0, 2, 4, 7), (1, 2, 3, 5)), ((2, 3), (1, 2))]:
+            rows = [[comb(aj, bi) for aj in a] for bi in b]
+            assert binomial_determinant(IndexTuples(a, b)) == det_by_minors(rows).at_one()
+
+    def test_exact_det_rational_vs_minors(self):
+        rng = random.Random(6)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+                m[0][0] = Fraction(0)
+                d = lcm(*(x.denominator for row in m for x in row))
+                scaled = [[int(x * d) for x in row] for row in m]
+                assert exact_det_rational(m) == Fraction(det_by_minors(scaled).at_one(), d**n)
+
+    def test_exact_det_singular(self):
+        assert exact_det([[q, 1 + q], [q, 1 + q]]) == 0
+        assert exact_det_rational([[0, 1], [0, Fraction(1, 2)]]) == 0
 
     def test_exact_det_row_swap_antisymmetry(self):
         m = [[1 + q, q], [q**2, 1 - q]]

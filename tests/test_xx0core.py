@@ -22,7 +22,7 @@ from xx0chain.xx0core import (
     walker_amplitude,
     walker_amplitude_multi,
 )
-from xx0chain.xx0core import _dw_det_value, _ferro_det_value
+from xx0chain.xx0core import _dw_det_value, _ferro_det_value, _lu_det
 
 
 def bethe_points(state, sign=+1):
@@ -306,6 +306,18 @@ class TestPersistenceBasics:
         r = persistence_ferro(5, 2, 1, 1.0)
         assert r.method == "determinant"
         assert r.params == (5, 2, 1, 1.0)
+
+    def test_overflow_is_flagged(self):
+        # (M+1)^N and exp(beta*N) overflow: the value is NaN and must say so
+        with np.errstate(all="ignore"):
+            for res in (persistence_ferro(60, 20, 3, 40.0), persistence_domain_wall(1000, 100, 3, 1.0)):
+                assert not cmath.isfinite(res.value)
+                assert any("non-finite" in w for w in res.warnings)
+
+    def test_nan_pivot_ratio(self):
+        with np.errstate(invalid="ignore"):
+            _, ratio = _lu_det([[2.0, 1.0], [1.0, math.nan]])  # finite first pivot
+        assert math.isnan(ratio)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
