@@ -111,7 +111,11 @@ def big_phi(N: int, M: int, beta: float) -> float:
 _EXACT_N_LIMIT = 64
 _EXACT_P_LIMIT = 10**4
 
+# The two counts below are cached: every beta of a temperature sweep repeats
+# the same big-integer product, which would otherwise dominate the sweep.
 
+
+@lru_cache(maxsize=256)
 def log_a_cspp(N: int, P: int) -> float:
     """log of the column-strict count in an N x N x P box.
 
@@ -132,6 +136,7 @@ def log_a_cspp(N: int, P: int) -> float:
     )
 
 
+@lru_cache(maxsize=256)
 def log_box_count(L: int, N: int, P: int) -> float:
     """log of the plane-partition count in an L x N x P box (exact or Barnes)."""
     if L == 0 or N == 0 or P == 0:

@@ -10,13 +10,23 @@ ring, and the correct single-particle grid depends on the parity of the
 occupied sector - the grid solves exp(i(M+1)phi) = (-1)^(N-1), which is
 exactly the set of admissible root values for N particles.  A fixed grid
 independent of N reproduces neither exact diagonalization nor the n = 0
-normalization on every chain length, so all amplitude tables here carry
-the sector parity.
+normalization on every chain length, so every grid here carries the
+sector parity.
+
+Determinant path: both correlators are momentum Gram determinants
+det(C W C^H) with W = diag(exp(beta cos phi)) on the N-particle grid
+(Colomo, Izergin, Korepin & Tognetti, Theor. Math. Phys. 94, 1993).  With
+every momentum written as pi*2m/(M+1) for an integer 2m, a row of site sums
+sum_k exp(ik(theta - phi)) depends only on (2m_theta - 2m_phi) mod 2(M+1),
+so C is gathered from one vector of 2(M+1) closed-form geometric sums.  The
+N x N Gram matrix is one matmul and its log-determinant comes from a
+Cholesky factor, so neither (M+1)^N nor exp(beta N) is ever formed.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -124,33 +134,6 @@ def norm_squared(state: BetheState) -> float:
     return (M + 1) ** state.N / den
 
 
-def _lu_det(rows) -> tuple[complex, float]:
-    """Partial-pivoted LU determinant of a small complex matrix.
-
-    Returns (det, pivot ratio max|p|/min|p|); the ratio is inf when singular
-    and NaN when a pivot is NaN.
-    """
-    a = np.array(rows, dtype=complex)
-    n = a.shape[0] if a.ndim == 2 else 0
-    if n == 0:
-        return 1.0 + 0.0j, 1.0
-    det = 1.0 + 0.0j
-    mags = []
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) == 0.0:
-            return 0.0 + 0.0j, float("inf")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        piv = a[k, k]
-        det *= piv
-        mags.append(abs(piv))
-        if k + 1 < n:
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / piv, a[k, k + 1:])
-    return complex(det), float(np.max(mags) / np.min(mags))
-
-
 def scalar_product(v, u, M: int) -> complex:
     """Overlap of a bra at parameters v with a ket at parameters u.
 
@@ -170,8 +153,7 @@ def scalar_product(v, u, M: int) -> complex:
     _require_distinct(u2, "ket")
     _require_distinct(vm2, "bra")
     rows = [[kernel_entry(u2[k] * vm2[j], M + 1) for j in range(N)] for k in range(N)]
-    det, _ = _lu_det(rows)
-    return det / (vandermonde(u2) * vandermonde(vm2))
+    return complex(np.linalg.det(np.array(rows, dtype=complex))) / (vandermonde(u2) * vandermonde(vm2))
 
 
 def _require_distinct(points, which: str):
@@ -205,7 +187,7 @@ def efp_formfactor(state: BetheState, n: int) -> float:
         / ((M + 1) * np.sin(d[off] / 2.0))
     )
     K[~off] = n / (M + 1)
-    det, _ = _lu_det(np.eye(N) - K)
+    det = complex(np.linalg.det(np.eye(N) - K))
     if abs(det.imag) > 1e-9 * max(1.0, abs(det.real)):
         raise ArithmeticError(f"probability came out non-real: {det}")
     return det.real
@@ -235,7 +217,7 @@ def domain_wall_formfactor(v, u, n: int, M: int) -> complex:
         rows.append([kernel_entry(u2[k - 1] * vm2[j - 1], M + 1) for j in range(1, N + 1)])
     for k in range(N - n + 1, N + 1):
         rows.append([vm2[j - 1] ** (N - k) for j in range(1, N + 1)])
-    det, _ = _lu_det(rows)
+    det = complex(np.linalg.det(np.array(rows, dtype=complex)))
     vu = vandermonde(u2) if u2 else 1.0
     return det / (vu * vandermonde(vm2))
 
@@ -243,15 +225,14 @@ def domain_wall_formfactor(v, u, n: int, M: int) -> complex:
 # -- walker amplitudes --------------------------------------------------
 
 
-def _momentum_grid(M: int, parity_even_sector: bool) -> np.ndarray:
-    # Solutions of exp(i(M+1)phi) = -1 for even particle number, +1 for odd.
-    offset = 0.5 if parity_even_sector else 0.0
-    return 2.0 * pi / (M + 1) * (np.arange(M + 1) + offset)
+def _twice_m(M: int, N: int) -> np.ndarray:
+    """2m for the N-particle momenta pi*2m/(M+1), ground state first; sectors differ by integers."""
+    return 2 * np.arange(M + 1) - (N - 1)
 
 
 @lru_cache(maxsize=64)
 def _amplitude_table_cached(M: int, beta: complex, parity_even: bool) -> np.ndarray:
-    phi = _momentum_grid(M, parity_even)
+    phi = pi * _twice_m(M, 2 if parity_even else 1) / (M + 1)
     w = np.exp(beta * np.cos(phi)) / (M + 1)
     d = np.arange(-M, M + 1)
     f = np.exp(1j * np.outer(d, phi)) @ w
@@ -299,9 +280,7 @@ def walker_amplitude_multi(mu_left, mu_right, beta, M: int) -> complex:
     if N == 0:
         return 1.0 + 0.0j
     F = amplitude_table(M, beta, N)
-    rows = [[F[mu_left[k], mu_right[l]] for l in range(N)] for k in range(N)]
-    det, _ = _lu_det(rows)
-    return det
+    return complex(np.linalg.det(F[np.ix_(mu_left, mu_right)]))
 
 
 # -- persistence correlators ---------------------------------------------
@@ -309,29 +288,81 @@ def walker_amplitude_multi(mu_left, mu_right, beta, M: int) -> complex:
 
 @dataclass(frozen=True)
 class CorrelatorResult:
+    """A correlator value, its path, and log|value|, which stays finite where value over- or underflows."""
+
     value: complex
     method: str
     params: tuple
     warnings: tuple[str, ...] = ()
+    log_abs: float | None = None
+
+    def __post_init__(self):
+        if self.log_abs is None:
+            mag = abs(self.value)
+            object.__setattr__(self, "log_abs", math.log(mag) if mag > 0 else -math.inf)
 
 
-def _phase_matrix(roots, lo: int, hi: int) -> np.ndarray:
-    # rows: roots; columns: site index l in lo..hi; entry exp(i*l*theta)
-    th = np.asarray(roots)
-    ls = np.arange(lo, hi + 1)
-    return np.exp(1j * np.outer(th, ls))
+def _site_sums(M: int, lo: int) -> np.ndarray:
+    """sum_{k=lo..M} z^k = (z^lo - (-1)^r) / (1 - z) for z = exp(i*pi*r/(M+1)), r = 0..2M+1."""
+    t = 2 * (M + 1)
+    r = np.arange(1, t)
+    half = np.exp(1j * pi * r / t)
+    z_lo = np.exp(2j * pi * ((lo * r) % t) / t)
+    out = np.empty(t, dtype=complex)
+    out[0] = M + 1 - lo
+    out[1:] = (z_lo - (1 - 2 * (r % 2))) / (-2j * np.sin(pi * r / t) * half)
+    return out
 
 
-def _ferro_det_value(M: int, N: int, n: int, beta) -> tuple[complex, float]:
-    gs = ground_state(M, N)
+def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, float]:
+    """(log of the determinant-path correlator, conditioning estimate).
+
+    Both correlators are exp(beta E_gs) det(C W C^H) / (M+1)^(N+Ng), with
+    W = diag(exp(beta cos phi)) on the N-particle grid and Ng ground-state
+    particles.  Ferro: C holds N = Ng rows of site sums over k = n..M, and
+    C W C^H / (M+1) is U F[n:, n:]^T U^H for the walker table F.  Domain
+    wall: C holds Ng = N-n rows of site sums over k = 0..M stacked on n
+    plane-wave rows exp(-i s phi), s = n-1..0, and C W C^H / (M+1) is the
+    kernel / strip / walker block matrix.  The weights are scaled by the
+    largest one and the scale is added back as a log.  The estimate is NaN
+    where slogdet stands in for Cholesky (complex beta, or not positive
+    definite in double precision); the caller warns on NaN too.
+    """
+    if kind == "ferro" and n > M + 1 - N:
+        return complex(-math.inf), 1.0  # no room for n empty sites: the projector kills the state
     if N == 0:
-        return 1.0 + 0.0j, 1.0
-    F = amplitude_table(M, beta, N)
-    U = _phase_matrix(gs.roots, n, M)
-    G = U @ F[n:, n:].T @ U.conj().T
-    det, ratio = _lu_det(G)
-    value = cmath.exp(complex(beta) * energy(gs)) * det / (M + 1) ** N
-    return value, ratio
+        return 0j, 1.0
+    Ng, lo = (N, n) if kind == "ferro" else (N - n, 0)
+    t = 2 * (M + 1)
+    tm = _twice_m(M, N)
+    tm_g = _twice_m(M, Ng)[:Ng]
+    idx = np.subtract.outer(tm_g, tm)
+    idx %= t
+    C = _site_sums(M, lo)[idx]
+    if kind == "domain_wall":
+        C = np.vstack([C, np.exp(-2j * pi * (np.multiply.outer(np.arange(n - 1, -1, -1), tm) % t) / t)])
+    b = complex(beta)
+    real_beta = b.imag == 0
+    log_w = (b.real if real_beta else b) * np.cos(pi * tm / (M + 1))
+    shift = float(np.max(log_w.real))
+    Cw = C * np.exp(log_w - shift)
+    np.conjugate(C, out=C)  # in place: C is not needed again, so no third N x (M+1) array
+    G = Cw @ C.T
+    log_det, ratio = _log_det(G, hermitian=real_beta)
+    e_gs = -float(np.sum(np.cos(pi * tm_g / (M + 1))))
+    return log_det + N * shift + b * e_gs - (N + Ng) * math.log(M + 1), ratio
+
+
+def _log_det(G: np.ndarray, hermitian: bool) -> tuple[complex, float]:
+    """(log det G, max/min of the squared Cholesky diagonal, or NaN without Cholesky)."""
+    if hermitian:
+        try:
+            diag2 = np.abs(np.diagonal(np.linalg.cholesky(G))) ** 2
+            return complex(np.sum(np.log(diag2))), float(np.max(diag2) / np.min(diag2))
+        except np.linalg.LinAlgError:
+            pass
+    sign, log_abs = np.linalg.slogdet(G)
+    return (cmath.log(sign) + log_abs if sign else complex(-math.inf)), math.nan
 
 
 @lru_cache(maxsize=256)
@@ -350,53 +381,6 @@ def _ferro_spectral_terms(M: int, N: int, n: int):
         P = binet_cauchy_kernel(K, n, y, xg)
         terms.append((energy(state), abs(V * P) ** 2))
     return energy(gs), norm_squared(gs), tuple(terms)
-
-
-def persistence_ferro(
-    M: int, N: int, n: int, beta, method: str = "determinant", max_states: int = SPECTRAL_BUDGET
-) -> CorrelatorResult:
-    """Thermal correlator of the n-site empty-string projector on the ground state.
-
-    The determinant path contracts the walker table against ground-state
-    phases; the spectral path sums the kernel form-factor over every state
-    in the sector.  Either path yields 1 identically at n = 0, where the
-    projector is the identity.
-    """
-    ChainParams(M, N)
-    if not 0 <= n <= M + 1:
-        raise ValueError("need 0 <= n <= M+1")
-    params = (M, N, n, beta)
-    if n == 0:
-        return CorrelatorResult(1.0 + 0.0j, method, params)
-    warnings: tuple[str, ...] = ()
-    if method == "determinant":
-        value, ratio = _ferro_det_value(M, N, n, beta)
-        if not ratio <= PIVOT_RATIO_WARNING:  # a NaN ratio is ill-conditioned too
-            warnings = (f"ill-conditioned determinant (pivot ratio {ratio:.2e})",)
-    elif method == "spectral_sum":
-        if comb(M + 1, N) > max_states:
-            raise EnumerationBudgetError("spectral sum exceeds sector budget")
-        e0, nrm2, terms = _ferro_spectral_terms(M, N, n)
-        acc = 0.0 + 0.0j
-        for e, w in terms:
-            acc += cmath.exp(-complex(beta) * (e - e0)) * w
-        value = acc / (nrm2 * (M + 1) ** N)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    value = _check_value(value, warnings_out := list(warnings), beta)
-    return CorrelatorResult(value, method, params, tuple(warnings_out))
-
-
-def _check_value(value: complex, warnings: list[str], beta) -> complex:
-    """Append a warning for a non-finite value, or a non-real one at real beta."""
-    if not cmath.isfinite(value):
-        warnings.append(f"non-finite value {value}")
-        return value
-    if isinstance(beta, complex) and beta.imag != 0:
-        return value
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        warnings.append(f"imaginary part {value.imag:.3e} exceeds reality tolerance")
-    return value
 
 
 @lru_cache(maxsize=256)
@@ -423,24 +407,58 @@ def _dw_spectral_terms(M: int, N: int, n: int):
     return energy(gs), norm_squared(gs), tuple(terms)
 
 
-def _dw_det_value(M: int, N: int, n: int, beta) -> tuple[complex, float]:
-    Nn = N - n
-    gs = ground_state(M, Nn)
-    F = amplitude_table(M, beta, N)
-    blocks = np.zeros((N, N), dtype=complex)
-    if Nn:
-        U = _phase_matrix(gs.roots, 0, M)
-        blocks[:Nn, :Nn] = U @ F.T @ U.conj().T
-        for j in range(1, n + 1):
-            blocks[:Nn, Nn + j - 1] = U @ F[n - j, :]
-        for i in range(1, n + 1):
-            blocks[Nn + i - 1, :Nn] = U.conj() @ F[:, n - i]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            blocks[Nn + i - 1, Nn + j - 1] = F[n - i, n - j]
-    det, ratio = _lu_det(blocks)
-    value = cmath.exp(complex(beta) * energy(gs)) * det / (M + 1) ** Nn
-    return value, ratio
+def _persistence(kind: str, M: int, N: int, n: int, beta, method: str, max_states: int) -> CorrelatorResult:
+    params = (M, N, n, beta)
+    if n == 0:
+        return CorrelatorResult(1.0 + 0.0j, method, params)
+    warnings: list[str] = []
+    log_abs = None
+    if method == "determinant":
+        log_value, ratio = _gram_log_value(kind, M, N, n, beta)
+        if not ratio <= PIVOT_RATIO_WARNING:  # a NaN estimate is ill-conditioned too
+            warnings.append(f"ill-conditioned determinant (conditioning estimate {ratio:.2e})")
+        with np.errstate(over="ignore"):
+            value = complex(np.exp(np.complex128(log_value)))
+        log_abs = log_value.real
+    elif method == "spectral_sum":
+        if comb(M + 1, N) > max_states:
+            raise EnumerationBudgetError("spectral sum exceeds sector budget")
+        terms = _ferro_spectral_terms if kind == "ferro" else _dw_spectral_terms
+        e0, nrm2, weights = terms(M, N, n)
+        acc = 0.0 + 0.0j
+        for e, w in weights:
+            acc += cmath.exp(-complex(beta) * (e - e0)) * w
+        value = acc / (nrm2 * (M + 1) ** N)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    _check_value(value, warnings, beta)
+    return CorrelatorResult(value, method, params, tuple(warnings), log_abs)
+
+
+def _check_value(value: complex, warnings: list[str], beta) -> None:
+    """Append a warning for a non-finite value, or a non-real one at real beta."""
+    if not cmath.isfinite(value):
+        warnings.append(f"non-finite value {value}")
+    elif complex(beta).imag == 0 and abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
+        warnings.append(f"imaginary part {value.imag:.3e} exceeds reality tolerance")
+
+
+def persistence_ferro(
+    M: int, N: int, n: int, beta, method: str = "determinant", max_states: int = SPECTRAL_BUDGET
+) -> CorrelatorResult:
+    """Thermal correlator of the n-site empty-string projector on the ground state.
+
+    The determinant path is the momentum Gram determinant of N site-sum
+    rows over sites n..M, evaluated in log space (see _gram_log_value), so
+    log_abs stays finite where the value over- or underflows; it warns when
+    the Gram matrix is ill-conditioned.  The spectral path sums the kernel
+    form-factor over every state in the sector.  Either path yields 1
+    identically at n = 0, where the projector is the identity.
+    """
+    ChainParams(M, N)
+    if not 0 <= n <= M + 1:
+        raise ValueError("need 0 <= n <= M+1")
+    return _persistence("ferro", M, N, n, beta, method, max_states)
 
 
 def persistence_domain_wall(
@@ -448,32 +466,14 @@ def persistence_domain_wall(
 ) -> CorrelatorResult:
     """Thermal correlator of the n-site down-spin insertion on the (N-n)-ground state.
 
-    The determinant path evaluates the N x N block matrix (kernel block,
-    two single-sum strips, and a pure walker block) at the (N-n)-particle
-    ground-state phases; the spectral path resolves the propagator over the
-    full N-particle sector with zero-padded Schur sums.  At n = 0 both
-    operators are the identity and the correlator is 1.
+    The determinant path is the momentum Gram determinant of N-n site-sum
+    rows on the (N-n)-particle ground state stacked on n plane-wave rows,
+    evaluated in log space (see _gram_log_value) and warning when the Gram
+    matrix is ill-conditioned.  The spectral path resolves the propagator
+    over the full N-particle sector with zero-padded Schur sums.  At n = 0
+    both operators are the identity and the correlator is 1.
     """
     ChainParams(M, N)
     if not 0 <= n <= N:
         raise ValueError("need 0 <= n <= N")
-    params = (M, N, n, beta)
-    if n == 0:
-        return CorrelatorResult(1.0 + 0.0j, method, params)
-    warnings: tuple[str, ...] = ()
-    if method == "determinant":
-        value, ratio = _dw_det_value(M, N, n, beta)
-        if not ratio <= PIVOT_RATIO_WARNING:  # a NaN ratio is ill-conditioned too
-            warnings = (f"ill-conditioned determinant (pivot ratio {ratio:.2e})",)
-    elif method == "spectral_sum":
-        if comb(M + 1, N) > max_states:
-            raise EnumerationBudgetError("spectral sum exceeds sector budget")
-        e0, nrm2, terms = _dw_spectral_terms(M, N, n)
-        acc = 0.0 + 0.0j
-        for e, w in terms:
-            acc += cmath.exp(-complex(beta) * (e - e0)) * w
-        value = acc / (nrm2 * (M + 1) ** N)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    value = _check_value(value, warnings_out := list(warnings), beta)
-    return CorrelatorResult(value, method, params, tuple(warnings_out))
+    return _persistence("domain_wall", M, N, n, beta, method, max_states)

@@ -149,6 +149,17 @@ class TestEstimates:
         want = log_a_cspp(70, 200)
         assert got == pytest.approx(want, rel=1e-6)
 
+    def test_cached_counts_match_uncached(self):
+        # the exact branch (N <= 64), the Barnes branch, and the zero-side shortcuts
+        for args in [(2, 17), (60, 997), (70, 200), (0, 5)]:
+            assert log_a_cspp(*args) == log_a_cspp.__wrapped__(*args)
+            assert log_a_cspp(*args) == log_a_cspp(*args)
+        for args in [(2, 3, 28), (57, 60, 941), (80, 70, 300), (0, 3, 4)]:
+            assert log_box_count(*args) == log_box_count.__wrapped__(*args)
+            assert log_box_count(*args) == log_box_count(*args)
+        assert log_a_cspp.cache_info().maxsize is not None
+        assert log_box_count.cache_info().maxsize is not None
+
     def test_domain_guards(self):
         with pytest.raises(ValueError):
             ferro_asymptotic(3, 3, 2, 1.0)

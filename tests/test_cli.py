@@ -216,14 +216,16 @@ class TestAsymCmd:
         assert rows[1]["status"] == "asym-only" and rows[1]["exact_log"] == ""
 
     def test_status_flags_bad_exact_values(self, capsys):
-        # (60,20,3,40) overflows to NaN; (24,20,1,40) is finite but ill-conditioned
+        # (60,20,3,40) overflowed in linear space and is now evaluated in log
+        # space; (24,20,1,40) is finite but ill-conditioned and must say so
         _, out = run_cli(
             ["asym", "ferro", "--M", "60", "--N", "20", "--n", "3", "--beta", "1,40", "--exact-max-M", "60"],
             capsys,
         )
-        good, nan_row = list(csv.DictReader(io.StringIO(out)))
-        assert good["status"] == "ok" and math.isfinite(float(good["exact_log"]))
-        assert nan_row["exact_log"] == "nan" and nan_row["status"] == "unreliable"
+        for row in csv.DictReader(io.StringIO(out)):
+            assert row["status"] == "ok" and math.isfinite(float(row["exact_log"]))
+        # log of the 60-digit Gram determinant 0.0286630991376770
+        assert float(row["exact_log"]) == pytest.approx(-3.5521447278, abs=1e-7)
         _, out = run_cli(["asym", "ferro", "--M", "24", "--N", "20", "--n", "1", "--beta", "40"], capsys)
         row = list(csv.DictReader(io.StringIO(out)))[0]
         assert row["status"] == "unreliable"

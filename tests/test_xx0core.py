@@ -5,11 +5,13 @@ from math import comb, pi, sqrt
 import numpy as np
 import pytest
 
+from xx0chain import xx0core
 from xx0chain.errors import DegenerateInputError
 from xx0chain.schur import binet_cauchy_bruteforce
 from xx0chain.xx0core import (
     BetheState,
     ChainParams,
+    amplitude_table,
     domain_wall_formfactor,
     efp_formfactor,
     energy,
@@ -22,7 +24,7 @@ from xx0chain.xx0core import (
     walker_amplitude,
     walker_amplitude_multi,
 )
-from xx0chain.xx0core import _dw_det_value, _ferro_det_value, _lu_det
+from xx0chain.xx0core import _gram_log_value, _log_det
 
 
 def bethe_points(state, sign=+1):
@@ -259,10 +261,9 @@ class TestPersistenceBasics:
         # without the contract shortcut, the determinant still collapses to 1
         for M, N in [(4, 1), (5, 2), (6, 3), (7, 2)]:
             for beta in (0.0, 1.0):
-                val, _ = _ferro_det_value(M, N, 0, beta)
-                assert abs(val - 1.0) <= 1e-12
-                val, _ = _dw_det_value(M, N, 0, beta)
-                assert abs(val - 1.0) <= 1e-12
+                for kind in ("ferro", "domain_wall"):
+                    log_value, _ = _gram_log_value(kind, M, N, 0, beta)
+                    assert abs(cmath.exp(log_value) - 1.0) <= 1e-12
 
     def test_ferro_beta_zero_is_efp(self):
         for M in (4, 6, 7):
@@ -307,18 +308,6 @@ class TestPersistenceBasics:
         assert r.method == "determinant"
         assert r.params == (5, 2, 1, 1.0)
 
-    def test_overflow_is_flagged(self):
-        # (M+1)^N and exp(beta*N) overflow: the value is NaN and must say so
-        with np.errstate(all="ignore"):
-            for res in (persistence_ferro(60, 20, 3, 40.0), persistence_domain_wall(1000, 100, 3, 1.0)):
-                assert not cmath.isfinite(res.value)
-                assert any("non-finite" in w for w in res.warnings)
-
-    def test_nan_pivot_ratio(self):
-        with np.errstate(invalid="ignore"):
-            _, ratio = _lu_det([[2.0, 1.0], [1.0, math.nan]])  # finite first pivot
-        assert math.isnan(ratio)
-
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             persistence_ferro(5, 2, 1, 1.0, method="guess")
@@ -336,3 +325,130 @@ class TestPersistenceBasics:
 
         with pytest.raises(EnumerationBudgetError):
             list(enumerate_bethe_states(8, 3, max_states=10))
+
+
+def _table_contraction(kind, M, N, n, beta):
+    """The correlator from the (M+1) x (M+1) walker table, contracted in linear space.
+
+    ferro: exp(beta E_gs) det(U F[n:, n:]^T U^H) / (M+1)^N with
+    U[a, k] = exp(i k theta_a) over sites n..M.  domain wall: the N x N
+    block matrix of a kernel block U F^T U^H on the (N-n)-particle ground
+    state, the strips U F[n-j, :] and U* F[:, n-i] and the walker block
+    F[n-i, n-j], times exp(beta E_gs) / (M+1)^(N-n).
+    """
+    Ng = N if kind == "ferro" else N - n
+    gs = ground_state(M, Ng)
+    F = amplitude_table(M, beta, N)
+    if kind == "ferro":
+        U = np.exp(1j * np.outer(gs.roots, np.arange(n, M + 1)))
+        G = U @ F[n:, n:].T @ U.conj().T
+    else:
+        U = np.exp(1j * np.outer(gs.roots, np.arange(M + 1)))
+        s = [n - i for i in range(1, n + 1)]
+        G = np.block([[U @ F.T @ U.conj().T, U @ F[s, :].T], [(U.conj() @ F[:, s]).T, F[np.ix_(s, s)]]])
+    return cmath.exp(complex(beta) * energy(gs)) * np.linalg.det(G) / (M + 1) ** Ng
+
+
+def _mp_ferro_gram(M, N, n, beta):
+    """The ferro correlator as a plain Gram determinant in 60-digit arithmetic.
+
+    Site sums are added term by term, the Gram matrix over the whole
+    N-particle momentum grid is formed entry by entry and mpmath takes its
+    determinant; nothing is shared with the library.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        grid = [mpmath.pi * (2 * j - (N - 1)) / (M + 1) for j in range(M + 1)]
+        weights = [mpmath.exp(beta * mpmath.cos(p)) for p in grid]
+        rows = []
+        for t in grid[:N]:
+            row = []
+            for p in grid:
+                z = mpmath.expj(t - p)
+                zk, acc = z**n, 0
+                for _ in range(n, M + 1):
+                    acc, zk = acc + zk, zk * z
+                row.append(acc)
+            rows.append(row)
+        G = mpmath.matrix(N, N)
+        for a in range(N):
+            for b in range(N):
+                G[a, b] = mpmath.fsum(w * x * mpmath.conj(y) for w, x, y in zip(weights, rows[a], rows[b]))
+        norm = mpmath.mpf(M + 1) ** (2 * N) * mpmath.fprod(weights[:N])
+        return float(mpmath.re(mpmath.det(G)) / norm)
+
+
+class TestGramDriver:
+    def test_matches_table_contraction(self):
+        # Random chains with M <= 40, N <= 8 and n <= 3.  Ferro n stays at
+        # most half the empty sites: as n approaches M+1-N the correlator
+        # becomes tiny and both evaluations lose digits to cancellation, a
+        # precision limit rather than a disagreement between the formulas.
+        rng = np.random.default_rng(2024)
+        cases = []
+        for i in range(60):
+            kind = ("ferro", "domain_wall")[i % 2]
+            M = int(rng.integers(3, 41))
+            N = int(rng.integers(1, min(8, M - 1) + 1))
+            n_max = min(3, (M + 1 - N) // 2) if kind == "ferro" else min(3, N)
+            cases.append((kind, M, N, int(rng.integers(1, n_max + 1)), float(rng.uniform(0.0, 8.0))))
+        cases += [("ferro", 9, 3, 2, 2.0 + 1.5j), ("domain_wall", 9, 4, 2, 2.0 + 1.5j)]
+        for kind, M, N, n, beta in cases:
+            log_value, ratio = _gram_log_value(kind, M, N, n, beta)
+            want = _table_contraction(kind, M, N, n, beta)
+            assert abs(cmath.exp(log_value) - want) <= 1e-9 * abs(want), (kind, M, N, n, beta)
+            if not isinstance(beta, complex):
+                assert ratio <= xx0core.PIVOT_RATIO_WARNING
+
+    def test_results_carry_the_log_value(self):
+        for fn, kind in ((persistence_ferro, "ferro"), (persistence_domain_wall, "domain_wall")):
+            res = fn(20, 5, 2, 3.0)
+            log_value, _ = _gram_log_value(kind, 20, 5, 2, 3.0)
+            assert res.log_abs == log_value.real
+            assert res.value == pytest.approx(cmath.exp(log_value), rel=1e-15)
+            assert res.value.imag == 0.0 and not res.warnings
+            spectral = fn(8, 3, 2, 1.0, method="spectral_sum")
+            assert spectral.log_abs == math.log(abs(spectral.value))
+
+    def test_no_room_is_exact_zero(self):
+        # n > M+1-N: n empty sites do not fit next to N down spins
+        res = persistence_ferro(6, 5, 3, 1.0)
+        assert res.value == 0 and res.log_abs == -math.inf and not res.warnings
+        assert persistence_ferro(6, 5, 3, 1.0, method="spectral_sum").value == 0
+
+    def test_overflow_cases_are_finite(self):
+        # (M+1)^N and exp(beta*N) overflow in linear space, never in log space
+        got = persistence_ferro(60, 20, 3, 40.0)
+        assert cmath.isfinite(got.value) and not got.warnings
+        assert got.value.real == pytest.approx(_mp_ferro_gram(60, 20, 3, 40.0), rel=1e-7)
+        got = persistence_ferro(1000, 100, 3, 1.0)
+        assert not got.warnings and got.value.real == pytest.approx(0.63862107549, rel=1e-10)
+        got = persistence_domain_wall(1000, 100, 3, 1.0)
+        assert not got.warnings and got.value.real == pytest.approx(0.79522965, rel=1e-8)
+        # ill-conditioned: still finite and wrong, and it says so
+        assert any("ill-conditioned" in w for w in persistence_ferro(24, 20, 1, 40.0).warnings)
+
+    def test_nan_conditioning_estimate_warns(self, monkeypatch):
+        with np.errstate(invalid="ignore"):
+            _, ratio = _log_det(np.array([[2.0, 1.0], [1.0, math.nan]]), hermitian=True)
+        assert math.isnan(ratio)
+        monkeypatch.setattr(xx0core, "_log_det", lambda G, hermitian: (0j, math.nan))
+        for fn in (persistence_ferro, persistence_domain_wall):
+            res = fn(8, 2, 1, 1.0)
+            assert any("ill-conditioned" in w for w in res.warnings)
+
+    def test_memory_and_no_table(self):
+        # the (M+1)^2 walker table, 16 MB at M = 1000, must not be built
+        import tracemalloc
+
+        before = xx0core._amplitude_table_cached.cache_info()
+        tracemalloc.start()
+        try:
+            persistence_ferro(1000, 100, 3, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        persistence_domain_wall(1000, 100, 3, 1.0)
+        assert peak < 8 * 2**20
+        assert xx0core._amplitude_table_cached.cache_info() == before
