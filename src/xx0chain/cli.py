@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -68,6 +69,11 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None, 
 # -- correlator ----------------------------------------------------------
 
 
+def _correlator(kind: str):
+    """xx0core.persistence_<kind>, looked up at call time."""
+    return getattr(xx0core, f"persistence_{kind}")
+
+
 def cmd_correlator(args) -> int:
     rows: list[dict] = []
     if args.kind == "walker":
@@ -99,19 +105,14 @@ def cmd_correlator(args) -> int:
                 for beta in args.beta:
                     row = {"M": M, "N": N, "n": n, "beta": _fmt(beta)}
                     try:
-                        if args.kind == "ferro":
-                            res = xx0core.persistence_ferro(
-                                M, N, n, beta, method=args.method, max_states=args.budget
-                            )
-                            value, method, warn = res.value, res.method, "; ".join(res.warnings)
-                        elif args.kind == "domain_wall":
-                            res = xx0core.persistence_domain_wall(
-                                M, N, n, beta, method=args.method, max_states=args.budget
-                            )
-                            value, method, warn = res.value, res.method, "; ".join(res.warnings)
-                        else:  # efp
+                        if args.kind == "efp":
                             value = complex(xx0core.efp_formfactor(xx0core.ground_state(M, N), n))
                             method, warn = "determinant", ""
+                        else:
+                            res = _correlator(args.kind)(
+                                M, N, n, beta, method=args.method, max_states=args.budget
+                            )
+                            value, method, warn = res.value, res.method, "; ".join(res.warnings)
                     except EnumerationBudgetError as exc:
                         row.update(
                             value_re="", value_im="", method="budget-exceeded", warnings=str(exc)
@@ -263,14 +264,8 @@ def _suite_correlators(args) -> tuple[bool, float]:
             for n in range(0, N + 1):
                 for beta in (0.0, 1.0):
                     for kind in ("ferro", "domain_wall"):
-                        if kind == "ferro":
-                            a = xx0core.persistence_ferro(M, N, n, beta).value
-                            b = xx0core.persistence_ferro(M, N, n, beta, method="spectral_sum").value
-                        else:
-                            a = xx0core.persistence_domain_wall(M, N, n, beta).value
-                            b = xx0core.persistence_domain_wall(
-                                M, N, n, beta, method="spectral_sum"
-                            ).value
+                        a = _correlator(kind)(M, N, n, beta).value
+                        b = _correlator(kind)(M, N, n, beta, method="spectral_sum").value
                         c = edoracle.oracle_correlator(kind, M, N, n, beta)
                         if not all(map(cmath.isfinite, (a, b, c))):
                             worst = math.nan
@@ -326,17 +321,11 @@ def cmd_asym(args) -> int:
         for N in args.N:
             for n in args.n:
                 for beta in args.beta:
-                    if args.kind == "ferro":
-                        est = asym.ferro_asymptotic(M, N, n, beta)
-                    else:
-                        est = asym.domain_wall_asymptotic(M, N, n, beta)
+                    est = getattr(asym, f"{args.kind}_asymptotic")(M, N, n, beta)
                     row = {"M": M, "N": N, "n": n, "beta": _fmt(beta)}
                     exact_ok = M <= args.exact_max_M and (args.kind == "ferro" or n <= N)
                     if exact_ok:
-                        if args.kind == "ferro":
-                            res = xx0core.persistence_ferro(M, N, n, beta)
-                        else:
-                            res = xx0core.persistence_domain_wall(M, N, n, beta)
+                        res = _correlator(args.kind)(M, N, n, beta)
                         val = res.value.real
                         row["exact_log"] = "nonpositive" if val <= 0 else _fmt(math.log(val))
                         trusted = math.isfinite(val) and val > 0 and not res.warnings
@@ -359,7 +348,9 @@ def cmd_asym(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call of main."""
     p = argparse.ArgumentParser(prog="xx0chain", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

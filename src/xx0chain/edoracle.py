@@ -110,6 +110,12 @@ def thermal_operator(M: int, N: int, beta) -> np.ndarray:
     return (v * np.exp(-complex(beta) * w)) @ v.T
 
 
+def _thermal_expectation(M: int, N: int, beta, x: np.ndarray) -> complex:
+    """x^H exp(-beta H) x = sum_j exp(-beta w_j) |v_j^T x|^2 over the real eigenvectors v_j."""
+    w, v = _eigh_cached(M, N)
+    return complex(np.exp(-complex(beta) * w) @ np.abs(v.T @ x) ** 2)
+
+
 def build_state_vector(u, M: int, N: int) -> np.ndarray:
     """Amplitude vector with S_lam(u^2) at the configuration lam + staircase."""
     basis = sector_basis(M, N)
@@ -163,20 +169,13 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
     if kind == "ferro":
         gs = ground_state(M, N)
         psi = build_state_vector(tuple(np.exp(0.5j * np.asarray(gs.roots))), M, N)
-        pvec = projector_empty_sites(M, N, n)
-        eop = thermal_operator(M, N, beta)
-        ppsi = pvec * psi
-        num = np.vdot(ppsi, eop @ ppsi)
-        den = np.vdot(psi, eop @ psi)
-        return complex(num / den)
+        ppsi = projector_empty_sites(M, N, n) * psi
+        return complex(_thermal_expectation(M, N, beta, ppsi) / _thermal_expectation(M, N, beta, psi))
     if kind == "domain_wall":
         gs = ground_state(M, N - n)
         psi = build_state_vector(tuple(np.exp(0.5j * np.asarray(gs.roots))), M, N - n)
-        fmap = domain_wall_insertion(M, N, n)
-        phi = fmap @ psi
-        num = np.vdot(phi, thermal_operator(M, N, beta) @ phi)
-        den = np.vdot(psi, thermal_operator(M, N - n, beta) @ psi)
-        return complex(num / den)
+        phi = domain_wall_insertion(M, N, n) @ psi
+        return complex(_thermal_expectation(M, N, beta, phi) / _thermal_expectation(M, N - n, beta, psi))
     if kind == "walker":
         mu_left, mu_right = endpoints
         nn = len(mu_left)

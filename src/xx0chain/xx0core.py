@@ -2,8 +2,8 @@
 
 Quantum numbers, roots, energies and norms; scalar products and
 form-factors in determinant form; single- and multi-walker transition
-amplitudes; and the two persistence correlators, each with an independent
-determinant path and a spectral-sum path.
+amplitudes; and the two persistence correlators, each as a determinant and
+as that determinant's spectral expansion.
 
 Momentum grids: the propagator entries are discrete heat kernels on the
 ring, and the correct single-particle grid depends on the parity of the
@@ -13,14 +13,16 @@ independent of N reproduces neither exact diagonalization nor the n = 0
 normalization on every chain length, so every grid here carries the
 sector parity.
 
-Determinant path: both correlators are momentum Gram determinants
-det(C W C^H) with W = diag(exp(beta cos phi)) on the N-particle grid
-(Colomo, Izergin, Korepin & Tognetti, Theor. Math. Phys. 94, 1993).  With
-every momentum written as pi*2m/(M+1) for an integer 2m, a row of site sums
+Both correlators are read off one N x (M+1) site-sum matrix C.  With every
+momentum written as pi*2m/(M+1) for an integer 2m, a row of site sums
 sum_k exp(ik(theta - phi)) depends only on (2m_theta - 2m_phi) mod 2(M+1),
 so C is gathered from one vector of 2(M+1) closed-form geometric sums.  The
-N x N Gram matrix is one matmul and its log-determinant comes from a
-Cholesky factor, so neither (M+1)^N nor exp(beta N) is ever formed.
+determinant path is the Gram determinant det(C W C^H), W = diag(exp(beta
+cos phi)) (Colomo, Izergin, Korepin & Tognetti, Theor. Math. Phys. 94,
+1993); the spectral path is its Cauchy-Binet expansion, the sum of
+exp(-beta E_S) |det C[:, S]|^2 over the N-subsets S of the momenta, which
+are the Bethe states.  Both work in log space and never form (M+1)^N or
+exp(beta N).
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, cos, pi
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DegenerateInputError, EnumerationBudgetError
-from .schur import binet_cauchy_kernel, kernel_entry, schur_jacobi_trudi, vandermonde
+from .schur import kernel_entry, vandermonde
 
 __all__ = [
     "ChainParams",
@@ -58,6 +60,7 @@ __all__ = [
 
 PIVOT_RATIO_WARNING = 1e10
 SPECTRAL_BUDGET = 10**6
+MINOR_ENTRIES = 2**18  # matrix entries held at once while the spectral minors are taken
 
 
 @dataclass(frozen=True)
@@ -314,24 +317,14 @@ def _site_sums(M: int, lo: int) -> np.ndarray:
     return out
 
 
-def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, float]:
-    """(log of the determinant-path correlator, conditioning estimate).
+def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """(C, 2m of the momenta, Ng, E_gs): the N x (M+1) site-sum matrix both paths share.
 
-    Both correlators are exp(beta E_gs) det(C W C^H) / (M+1)^(N+Ng), with
-    W = diag(exp(beta cos phi)) on the N-particle grid and Ng ground-state
-    particles.  Ferro: C holds N = Ng rows of site sums over k = n..M, and
-    C W C^H / (M+1) is U F[n:, n:]^T U^H for the walker table F.  Domain
-    wall: C holds Ng = N-n rows of site sums over k = 0..M stacked on n
-    plane-wave rows exp(-i s phi), s = n-1..0, and C W C^H / (M+1) is the
-    kernel / strip / walker block matrix.  The weights are scaled by the
-    largest one and the scale is added back as a log.  The estimate is NaN
-    where slogdet stands in for Cholesky (complex beta, or not positive
-    definite in double precision); the caller warns on NaN too.
+    The columns are the N-particle momenta; Ng is the ground state's particle
+    number.  Ferro (N >= 1, n <= M+1-N): Ng = N rows of site sums over
+    k = n..M.  Domain wall: Ng = N-n rows of site sums over k = 0..M stacked
+    on n plane-wave rows exp(-i s phi), s = n-1..0.
     """
-    if kind == "ferro" and n > M + 1 - N:
-        return complex(-math.inf), 1.0  # no room for n empty sites: the projector kills the state
-    if N == 0:
-        return 0j, 1.0
     Ng, lo = (N, n) if kind == "ferro" else (N - n, 0)
     t = 2 * (M + 1)
     tm = _twice_m(M, N)
@@ -341,6 +334,22 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, f
     C = _site_sums(M, lo)[idx]
     if kind == "domain_wall":
         C = np.vstack([C, np.exp(-2j * pi * (np.multiply.outer(np.arange(n - 1, -1, -1), tm) % t) / t)])
+    e_gs = -float(np.sum(np.cos(pi * tm_g / (M + 1))))
+    return C, tm, Ng, e_gs
+
+
+def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, float]:
+    """(log of the determinant-path correlator, conditioning estimate).
+
+    The correlator is exp(beta E_gs) det(C W C^H) / (M+1)^(N+Ng), with C from
+    _site_matrix and W = diag(exp(beta cos phi)).  C W C^H / (M+1) is
+    U F[n:, n:]^T U^H for ferro and the kernel / strip / walker block matrix
+    for the domain wall, F being the walker table.  The weights are scaled by
+    the largest one, which is added back as a log.  The estimate is NaN where
+    slogdet stands in for Cholesky (complex beta, or not positive definite in
+    double precision); the caller warns on NaN too.
+    """
+    C, tm, Ng, e_gs = _site_matrix(kind, M, N, n)
     b = complex(beta)
     real_beta = b.imag == 0
     log_w = (b.real if real_beta else b) * np.cos(pi * tm / (M + 1))
@@ -349,7 +358,6 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, f
     np.conjugate(C, out=C)  # in place: C is not needed again, so no third N x (M+1) array
     G = Cw @ C.T
     log_det, ratio = _log_det(G, hermitian=real_beta)
-    e_gs = -float(np.sum(np.cos(pi * tm_g / (M + 1))))
     return log_det + N * shift + b * e_gs - (N + Ng) * math.log(M + 1), ratio
 
 
@@ -365,82 +373,77 @@ def _log_det(G: np.ndarray, hermitian: bool) -> tuple[complex, float]:
     return (cmath.log(sign) + log_abs if sign else complex(-math.inf)), math.nan
 
 
-@lru_cache(maxsize=256)
-def _ferro_spectral_terms(M: int, N: int, n: int):
-    gs = ground_state(M, N)
-    K = M + 1 - N
-    xg = tuple(cmath.exp(1j * t) for t in gs.roots)
-    terms = []
-    for state in enumerate_bethe_states(M, N):
-        if n > K:
-            # no room for n empty sites next to N down spins: empty partition sum
-            terms.append((energy(state), 0.0))
-            continue
-        y = tuple(cmath.exp(-1j * t) for t in state.roots)
-        V = vandermonde(tuple(cmath.exp(1j * t) for t in state.roots))
-        P = binet_cauchy_kernel(K, n, y, xg)
-        terms.append((energy(state), abs(V * P) ** 2))
-    return energy(gs), norm_squared(gs), tuple(terms)
+def _minor_terms(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log|det C[:, S]|^2, E_S - E_gs) over the N-subsets S of the momenta, in ascending order.
+
+    S is a Bethe state's sorted quantum numbers.  The subsets are taken in
+    chunks of about MINOR_ENTRIES matrix entries, each chunk's minors by one
+    batched slogdet; a zero minor has log -inf.
+    """
+    C, tm, _, e_gs = _site_matrix(kind, M, N, n)
+    cos_phi = np.cos(pi * tm / (M + 1))
+    subsets = combinations(range(M + 1), N)
+    chunk = max(1, MINOR_ENTRIES // (N * N))
+    log_det2, d_energy = [], []
+    for _ in range(0, comb(M + 1, N), chunk):
+        S = np.fromiter(chain.from_iterable(islice(subsets, chunk)), dtype=np.intp).reshape(-1, N)
+        log_det2.append(2.0 * np.linalg.slogdet(C.T[S])[1])  # C.T[S] is C[:, S] transposed
+        d_energy.append(-cos_phi[S].sum(axis=1) - e_gs)
+    terms = np.concatenate(log_det2), np.concatenate(d_energy)
+    for a in terms:
+        a.setflags(write=False)
+    return terms
 
 
 @lru_cache(maxsize=256)
-def _dw_spectral_terms(M: int, N: int, n: int):
-    # weights |V * sum_lam S_lam(exp(-i theta)) S_lam(exp(i theta_gs))|^2
-    # summed over the N-particle sector; the bra/ket ground state has N-n particles
-    from .combinat import enumerate_partitions_in_box
+def _ferro_spectral_terms(M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _minor_terms("ferro", M, N, n)
 
-    K = M + 1 - N
-    gs = ground_state(M, N - n)
-    xg = tuple(cmath.exp(1j * t) for t in gs.roots)
-    lams = []
-    for mu in enumerate_partitions_in_box(K, N - n):
-        lam = tuple(mu) + (0,) * (N - n - len(mu))
-        lams.append((lam, schur_jacobi_trudi(lam, xg) if lam else 1))
-    terms = []
-    for state in enumerate_bethe_states(M, N):
-        y = tuple(cmath.exp(-1j * t) for t in state.roots)
-        inner = 0.0 + 0.0j
-        for lam, s_g in lams:
-            inner += schur_jacobi_trudi(lam, y) * s_g
-        V = vandermonde(tuple(cmath.exp(1j * t) for t in state.roots))
-        terms.append((energy(state), abs(V * inner) ** 2))
-    return energy(gs), norm_squared(gs), tuple(terms)
+
+@lru_cache(maxsize=256)
+def _dw_spectral_terms(M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _minor_terms("domain_wall", M, N, n)
+
+
+def _spectral_log_value(kind: str, M: int, N: int, n: int, beta) -> complex:
+    """Log of the spectral-sum correlator, the Cauchy-Binet expansion of the Gram determinant.
+
+    exp(beta E_gs) det(C W C^H) = sum_S exp(-beta (E_S - E_gs)) |det C[:, S]|^2,
+    summed with the largest real exponent factored out.
+    """
+    log_det2, d_energy = (_ferro_spectral_terms if kind == "ferro" else _dw_spectral_terms)(M, N, n)
+    b = complex(beta)
+    a = log_det2 - (b.real if b.imag == 0 else b) * d_energy
+    shift = float(np.max(a.real))
+    if shift == -math.inf:
+        return complex(-math.inf)  # every minor vanishes
+    Ng = N if kind == "ferro" else N - n
+    return cmath.log(complex(np.sum(np.exp(a - shift)))) + shift - (N + Ng) * math.log(M + 1)
 
 
 def _persistence(kind: str, M: int, N: int, n: int, beta, method: str, max_states: int) -> CorrelatorResult:
-    params = (M, N, n, beta)
-    if n == 0:
-        return CorrelatorResult(1.0 + 0.0j, method, params)
+    if method not in ("determinant", "spectral_sum"):
+        raise ValueError(f"unknown method {method!r}")
     warnings: list[str] = []
-    log_abs = None
-    if method == "determinant":
+    if n == 0 or N == 0:
+        log_value = 0j  # the identity operator, or no particles for it to act on
+    elif kind == "ferro" and n > M + 1 - N:
+        log_value = complex(-math.inf)  # no room for n empty sites: the projector kills the state
+    elif method == "determinant":
         log_value, ratio = _gram_log_value(kind, M, N, n, beta)
         if not ratio <= PIVOT_RATIO_WARNING:  # a NaN estimate is ill-conditioned too
             warnings.append(f"ill-conditioned determinant (conditioning estimate {ratio:.2e})")
-        with np.errstate(over="ignore"):
-            value = complex(np.exp(np.complex128(log_value)))
-        log_abs = log_value.real
-    elif method == "spectral_sum":
+    else:
         if comb(M + 1, N) > max_states:
             raise EnumerationBudgetError("spectral sum exceeds sector budget")
-        terms = _ferro_spectral_terms if kind == "ferro" else _dw_spectral_terms
-        e0, nrm2, weights = terms(M, N, n)
-        acc = 0.0 + 0.0j
-        for e, w in weights:
-            acc += cmath.exp(-complex(beta) * (e - e0)) * w
-        value = acc / (nrm2 * (M + 1) ** N)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    _check_value(value, warnings, beta)
-    return CorrelatorResult(value, method, params, tuple(warnings), log_abs)
-
-
-def _check_value(value: complex, warnings: list[str], beta) -> None:
-    """Append a warning for a non-finite value, or a non-real one at real beta."""
+        log_value = _spectral_log_value(kind, M, N, n, beta)
+    with np.errstate(over="ignore"):
+        value = complex(np.exp(np.complex128(log_value)))
     if not cmath.isfinite(value):
         warnings.append(f"non-finite value {value}")
     elif complex(beta).imag == 0 and abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
         warnings.append(f"imaginary part {value.imag:.3e} exceeds reality tolerance")
+    return CorrelatorResult(value, method, (M, N, n, beta), tuple(warnings), log_value.real)
 
 
 def persistence_ferro(
@@ -448,12 +451,11 @@ def persistence_ferro(
 ) -> CorrelatorResult:
     """Thermal correlator of the n-site empty-string projector on the ground state.
 
-    The determinant path is the momentum Gram determinant of N site-sum
-    rows over sites n..M, evaluated in log space (see _gram_log_value), so
-    log_abs stays finite where the value over- or underflows; it warns when
-    the Gram matrix is ill-conditioned.  The spectral path sums the kernel
-    form-factor over every state in the sector.  Either path yields 1
-    identically at n = 0, where the projector is the identity.
+    C holds N site-sum rows over sites n..M.  The determinant path is the
+    Gram determinant det(C W C^H) and warns when it is ill-conditioned; the
+    spectral path is its Cauchy-Binet expansion over the N-subsets of the
+    momenta, the Bethe states.  Both work in log space, so log_abs stays
+    finite where the value over- or underflows.  The value is 1 at n = 0.
     """
     ChainParams(M, N)
     if not 0 <= n <= M + 1:
@@ -466,12 +468,9 @@ def persistence_domain_wall(
 ) -> CorrelatorResult:
     """Thermal correlator of the n-site down-spin insertion on the (N-n)-ground state.
 
-    The determinant path is the momentum Gram determinant of N-n site-sum
-    rows on the (N-n)-particle ground state stacked on n plane-wave rows,
-    evaluated in log space (see _gram_log_value) and warning when the Gram
-    matrix is ill-conditioned.  The spectral path resolves the propagator
-    over the full N-particle sector with zero-padded Schur sums.  At n = 0
-    both operators are the identity and the correlator is 1.
+    C holds N-n site-sum rows on the (N-n)-particle ground state stacked on
+    n plane-wave rows; the two paths are det(C W C^H) and its Cauchy-Binet
+    expansion, as for persistence_ferro.  The value is 1 at n = 0.
     """
     ChainParams(M, N)
     if not 0 <= n <= N:

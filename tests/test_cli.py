@@ -235,3 +235,29 @@ class TestAsymCmd:
         row = list(csv.DictReader(io.StringIO(out)))[0]
         total = sum(float(row[k]) for k in ("amplitude", "critical_exponent", "phi"))
         assert total == pytest.approx(float(row["asym_log"]), rel=1e-12)
+
+
+class TestParser:
+    SEQUENCE = [
+        ["correlator", "ferro", "--M", "7", "--N", "2", "--n", "1,2", "--beta", "0,1"],
+        ["count", "zq", "--L", "2", "--N", "3", "--P", "2"],
+        ["asym", "domain_wall", "--M", "20", "--N", "3", "--n", "1", "--beta", "2", "--format", "json"],
+        ["correlator", "domain_wall", "--M", "8", "--n", "1", "--method", "spectral_sum"],
+        ["verify", "--suite", "box-determinants"],
+        ["correlator", "ferro", "--M", "7", "--N", "2", "--n", "1,2", "--beta", "0,1"],
+    ]
+
+    def test_built_once_and_reused_verbatim(self, capsys):
+        cli._build_parser.cache_clear()
+        reused = [run_cli(argv, capsys) for argv in self.SEQUENCE]
+        assert cli._build_parser.cache_info().misses == 1
+        for argv, got in zip(self.SEQUENCE, reused):
+            cli._build_parser.cache_clear()
+            assert run_cli(argv, capsys) == got, argv
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["correlator", "nonsense"])
+        capsys.readouterr()
+        rc, out = run_cli(["count", "macmahon", "--L", "2", "--N", "2", "--P", "2"], capsys)
+        assert rc == 0 and out == "L,N,P,value\n2,2,2,20\n"

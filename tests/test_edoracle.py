@@ -187,3 +187,21 @@ class TestOracleCorrelators:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             oracle_correlator("mystery", 3, 1)
+
+    def test_matches_the_literal_matrix_element(self):
+        # the spectral contraction equals x^H exp(-beta H) x with the dense operator
+        def expectation(M, N, beta, x):
+            return np.vdot(x, thermal_operator(M, N, beta) @ x)
+
+        for M, N, n in [(6, 2, 1), (7, 3, 2), (8, 3, 3)]:
+            for beta in (0.0, 1.5, 12.0, 0.7 + 0.4j):
+                gs = ground_state(M, N)
+                psi = bethe_vector(gs)
+                ppsi = projector_empty_sites(M, N, n) * psi
+                want = expectation(M, N, beta, ppsi) / expectation(M, N, beta, psi)
+                assert oracle_correlator("ferro", M, N, n, beta) == pytest.approx(want, rel=1e-12)
+                gs = ground_state(M, N - n)
+                psi = bethe_vector(gs)
+                phi = domain_wall_insertion(M, N, n) @ psi
+                want = expectation(M, N, beta, phi) / expectation(M, N - n, beta, psi)
+                assert oracle_correlator("domain_wall", M, N, n, beta) == pytest.approx(want, rel=1e-12)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from itertools import combinations
 from math import comb, pi, sqrt
 
 import numpy as np
@@ -452,3 +453,122 @@ class TestGramDriver:
         persistence_domain_wall(1000, 100, 3, 1.0)
         assert peak < 8 * 2**20
         assert xx0core._amplitude_table_cached.cache_info() == before
+
+
+def _schur_terms(kind, M, N, n):
+    """(E_gs, norm of the ground state, [(E_S, w_S)]) from Schur sums, one state per N-subset S.
+
+    The states follow the ascending subsets S of the momenta, as the
+    library's minors do.  Ferro: w_S = |V(x_S) P|^2 with P the Binet-Cauchy
+    kernel of the state and the N-particle ground state.  Domain wall: P is
+    the sum of S_lam(conj x_S) S_lam(x_gs) over the partitions lam in the
+    (M+1-N) x (N-n) box, zero-padded to N parts, on the (N-n)-particle
+    ground state.
+    """
+    from xx0chain.combinat import enumerate_partitions_in_box
+    from xx0chain.schur import binet_cauchy_kernel, schur_jacobi_trudi, vandermonde
+
+    K = M + 1 - N
+    gs = ground_state(M, N if kind == "ferro" else N - n)
+    xg = tuple(cmath.exp(1j * t) for t in gs.roots)
+    if kind == "domain_wall":
+        lams = []
+        for mu in enumerate_partitions_in_box(K, N - n):
+            lam = tuple(mu) + (0,) * (N - n - len(mu))
+            lams.append((lam, schur_jacobi_trudi(lam, xg) if lam else 1))
+    terms = []
+    for S in combinations(range(M + 1), N):
+        state = BetheState(M, N, tuple(reversed(S)))
+        y = tuple(cmath.exp(-1j * t) for t in state.roots)
+        if kind == "ferro":
+            P = binet_cauchy_kernel(K, n, y, xg)
+        else:
+            P = sum(schur_jacobi_trudi(lam, y) * s_g for lam, s_g in lams)
+        V = vandermonde(tuple(cmath.exp(1j * t) for t in state.roots))
+        terms.append((energy(state), abs(V * P) ** 2))
+    return energy(gs), norm_squared(gs), terms
+
+
+class TestSpectralMinors:
+    SCHUR_CASES = [("ferro", 7, 2, 2), ("ferro", 9, 3, 1), ("domain_wall", 8, 3, 1), ("domain_wall", 9, 4, 2)]
+
+    def test_minors_are_schur_weights(self):
+        # |det C[:, S]|^2 = w_S (M+1)^Ng / norm_squared(gs), state by state
+        for kind, M, N, n in self.SCHUR_CASES:
+            Ng = N if kind == "ferro" else N - n
+            e0, nrm2, terms = _schur_terms(kind, M, N, n)
+            log_det2, d_energy = xx0core._minor_terms(kind, M, N, n)
+            want = np.array([w for _, w in terms]) * (M + 1) ** Ng / nrm2
+            floor = 1e-12 * np.max(want)
+            assert np.all(np.abs(np.exp(log_det2) - want) <= 1e-10 * want + floor), (kind, M, N, n)
+            assert np.allclose(d_energy, [e - e0 for e, _ in terms], rtol=0, atol=1e-12)
+
+    def test_spectral_values_are_schur_sums(self):
+        for kind, M, N, n in self.SCHUR_CASES:
+            fn = persistence_ferro if kind == "ferro" else persistence_domain_wall
+            e0, nrm2, terms = _schur_terms(kind, M, N, n)
+            for beta in (0.0, 1.0, 5.0):
+                want = sum(math.exp(-beta * (e - e0)) * w for e, w in terms) / (nrm2 * (M + 1) ** N)
+                got = fn(M, N, n, beta, method="spectral_sum")
+                assert got.value == pytest.approx(want, rel=1e-10) and not got.warnings, (kind, M, N, n, beta)
+
+    def test_ill_conditioned_faults_are_exact(self):
+        # where the Gram determinant cancels, the minors do not; the values
+        # are those of the benchmark's independent references
+        for fn, M, N, n, want in [
+            (persistence_ferro, 24, 20, 1, 0.0400181572392),
+            (persistence_ferro, 12, 10, 1, 0.0532545107718),
+            (persistence_domain_wall, 12, 8, 1, 1.31083890573e-5),
+        ]:
+            got = fn(M, N, n, 40.0, method="spectral_sum")
+            assert abs(got.log_abs - math.log(want)) <= 1e-10 and not got.warnings, (M, N, n)
+
+    def test_many_chunks_match_the_determinant(self):
+        # 38,760 states, several chunks of minors
+        assert comb(21, 6) * 36 > xx0core.MINOR_ENTRIES
+        a = persistence_ferro(20, 6, 2, 3.0, method="spectral_sum")
+        b = persistence_ferro(20, 6, 2, 3.0)
+        assert a.value == pytest.approx(b.value, rel=1e-10)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        whole = xx0core._minor_terms("domain_wall", 9, 3, 1)
+        monkeypatch.setattr(xx0core, "MINOR_ENTRIES", 7 * 9)  # 7 subsets a chunk, 120 subsets
+        chunked = xx0core._minor_terms("domain_wall", 9, 3, 1)
+        for x, y in zip(whole, chunked):
+            assert np.array_equal(x, y)
+
+    def test_complex_beta_matches_the_determinant(self):
+        for fn, M, N, n in ((persistence_ferro, 9, 3, 2), (persistence_domain_wall, 9, 4, 2)):
+            a = fn(M, N, n, 2.0 + 1.5j, method="spectral_sum").value
+            b = fn(M, N, n, 2.0 + 1.5j).value
+            assert abs(a - b) <= 1e-10 * abs(b)
+
+    def test_zero_minors_contribute_nothing(self, monkeypatch):
+        def terms(log_det2):
+            return lambda M, N, n: (np.array(log_det2), np.array([0.5, 0.0]))
+
+        monkeypatch.setattr(xx0core, "_ferro_spectral_terms", terms([-math.inf, 0.0]))
+        for beta in (1.0, 1.0 + 1.0j):
+            res = persistence_ferro(3, 1, 1, beta, method="spectral_sum")
+            assert res.value == pytest.approx(1 / 16) and not res.warnings
+        monkeypatch.setattr(xx0core, "_ferro_spectral_terms", terms([-math.inf, -math.inf]))
+        res = persistence_ferro(3, 1, 1, 1.0, method="spectral_sum")
+        assert res.value == 0 and res.log_abs == -math.inf and not res.warnings
+
+    def test_no_particles_is_one(self):
+        for method in ("determinant", "spectral_sum"):
+            res = persistence_ferro(6, 0, 3, 1.0, method=method)
+            assert res.value == 1 and res.log_abs == 0.0 and not res.warnings
+
+    def test_budget_checked_before_enumeration(self, monkeypatch):
+        from xx0chain.errors import EnumerationBudgetError
+
+        def refuse(*args):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(xx0core, "_minor_terms", refuse)
+        monkeypatch.setattr(xx0core, "combinations", refuse)
+        with pytest.raises(EnumerationBudgetError):
+            persistence_ferro(35, 21, 13, 1.0, method="spectral_sum")  # 5.6e9 states
+        with pytest.raises(EnumerationBudgetError):
+            persistence_domain_wall(9, 4, 2, 1.0, method="spectral_sum", max_states=comb(10, 4) - 1)
