@@ -239,10 +239,8 @@ def _amplitude_table_cached(M: int, beta: complex, parity_even: bool) -> np.ndar
     w = np.exp(beta * np.cos(phi)) / (M + 1)
     d = np.arange(-M, M + 1)
     f = np.exp(1j * np.outer(d, phi)) @ w
-    idx = np.subtract.outer(np.arange(M + 1), np.arange(M + 1)) + M
-    table = f[idx]
-    table.setflags(write=False)
-    return table
+    f.setflags(write=False)
+    return f
 
 
 def amplitude_table(M: int, beta, n_particles: int = 1) -> np.ndarray:
@@ -250,28 +248,30 @@ def amplitude_table(M: int, beta, n_particles: int = 1) -> np.ndarray:
 
     Entry [k, l] is the generating function of one walker travelling from
     site l to site k, built on the momentum grid of the n_particles sector
-    (only the parity of n_particles matters).
+    (only the parity of n_particles matters); it is f[k - l + M] for the 2M+1 cached values f.
     """
     if M < 0 or n_particles < 1:
         raise ValueError("need M >= 0 and n_particles >= 1")
-    return _amplitude_table_cached(M, complex(beta), n_particles % 2 == 0)
+    sites = np.arange(M + 1)
+    table = _amplitude_table_cached(M, complex(beta), n_particles % 2 == 0)[np.subtract.outer(sites, sites) + M]
+    table.setflags(write=False)
+    return table
 
 
 def walker_amplitude(k: int, l: int, beta, M: int) -> complex:
     """Single-walker amplitude between sites l and k at inverse temperature beta."""
     if not (0 <= k <= M and 0 <= l <= M):
         raise ValueError("sites must lie in 0..M")
-    return complex(amplitude_table(M, beta, 1)[k, l])
+    return complex(_amplitude_table_cached(M, complex(beta), False)[k - l + M])
 
 
 def walker_amplitude_multi(mu_left, mu_right, beta, M: int) -> complex:
     """Amplitude for N non-colliding walkers: determinant of single-walker entries.
 
     Endpoints are strictly decreasing site tuples of equal length; the
-    single-walker table is built on the N-particle momentum grid.
+    single-walker entries are taken on the N-particle momentum grid.
     """
-    mu_left = tuple(mu_left)
-    mu_right = tuple(mu_right)
+    mu_left, mu_right = tuple(mu_left), tuple(mu_right)
     if len(mu_left) != len(mu_right):
         raise ValueError("endpoint tuples must have equal length")
     for t in (mu_left, mu_right):
@@ -282,8 +282,8 @@ def walker_amplitude_multi(mu_left, mu_right, beta, M: int) -> complex:
     N = len(mu_left)
     if N == 0:
         return 1.0 + 0.0j
-    F = amplitude_table(M, beta, N)
-    return complex(np.linalg.det(F[np.ix_(mu_left, mu_right)]))
+    f = _amplitude_table_cached(M, complex(beta), N % 2 == 0)
+    return complex(np.linalg.det(f[np.subtract.outer(mu_left, mu_right) + M]))
 
 
 # -- persistence correlators ---------------------------------------------

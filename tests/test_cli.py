@@ -51,6 +51,14 @@ class TestCorrelator:
         diag = [r for r in rows if r["k"] == r["l"]]
         assert all(float(r["value_re"]) == pytest.approx(1.0) for r in diag)
 
+    def test_walker_output_bytes_pinned(self, capsys):
+        # sha256 of stdout, recorded while the full (M+1) x (M+1) table was cached
+        rc, out = run_cli(["correlator", "walker", "--M", "7,30", "--beta", "0.3,2.5"], capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d374ebf75702edd7f5b869abff768720a82aceef7225093b51c23c93b9a9003e"
+        )
+
     def test_efp_kind(self, capsys):
         rc, out = run_cli(
             ["correlator", "efp", "--M", "3", "--N", "1", "--n", "1", "--beta", "0"], capsys

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from xx0chain import edoracle
 from xx0chain.edoracle import (
     build_hamiltonian,
     build_state_vector,
@@ -205,3 +206,40 @@ class TestOracleCorrelators:
                 phi = domain_wall_insertion(M, N, n) @ psi
                 want = expectation(M, N, beta, phi) / expectation(M, N - n, beta, psi)
                 assert oracle_correlator("domain_wall", M, N, n, beta) == pytest.approx(want, rel=1e-12)
+
+
+class TestStatesFromTheHamiltonian:
+    def test_lowest_eigenvector_is_the_schur_ground_state(self):
+        for M in range(1, 10):
+            for N in range(1, M + 1):
+                w, v = edoracle._eigh_cached(M, N)
+                gs = ground_state(M, N)
+                psi = bethe_vector(gs)
+                assert abs(np.vdot(v[:, 0], psi)) == pytest.approx(np.linalg.norm(psi), rel=1e-12), (M, N)
+                assert w[0] == pytest.approx(energy(gs), rel=1e-12, abs=1e-12), (M, N)
+
+    def test_oracle_uses_no_schur_state_and_no_dense_operator(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must read its states off the eigenpairs")
+
+        monkeypatch.setattr(edoracle, "build_state_vector", forbidden)
+        monkeypatch.setattr(edoracle, "thermal_operator", forbidden)
+        for kind in ("ferro", "domain_wall"):
+            assert cmath.isfinite(oracle_correlator(kind, 7, 3, 2, 1.5))
+        assert cmath.isfinite(oracle_correlator("walker", 7, 3, beta=1.5, endpoints=((5, 3, 0), (6, 2, 1))))
+
+    def test_cold_eigh_builds_through_the_public_hamiltonian(self, monkeypatch):
+        seen = []
+
+        def spy(M, N):
+            seen.append((M, N))
+            return build_hamiltonian(M, N)
+
+        edoracle._eigh_cached.cache_clear()
+        monkeypatch.setattr(edoracle, "build_hamiltonian", spy)
+        edoracle._eigh_cached(6, 2)
+        assert seen == [(6, 2)]
+
+    def test_caches_are_bounded(self):
+        for cache in (edoracle.sector_basis, edoracle._index_map, edoracle._hamiltonian_cached, edoracle._eigh_cached):
+            assert cache.cache_info().maxsize is not None

@@ -245,6 +245,24 @@ class TestWalkers:
                     b = walker_amplitude(k, l, 0.9, M)
                     assert a == pytest.approx(b)
 
+    def test_cache_holds_one_toeplitz_row(self):
+        # entry [k, l] depends only on k - l, so the cache keeps the 2M+1 values f[k - l + M]
+        for M, beta in [(0, 0.5), (6, 0.7), (9, 2.0 + 0.3j)]:
+            for n_particles in (1, 2):
+                F = amplitude_table(M, beta, n_particles)
+                f = xx0core._amplitude_table_cached(M, complex(beta), n_particles % 2 == 0)
+                assert f.shape == (2 * M + 1,) and not f.flags.writeable and not F.flags.writeable
+                for k in range(M + 1):
+                    for l in range(M + 1):
+                        assert F[k, l] == f[k - l + M]
+            F = amplitude_table(M, beta, 1)
+            assert all(walker_amplitude(k, l, beta, M) == F[k, l] for k in range(M + 1) for l in range(M + 1))
+        for M, beta in [(6, 0.7), (9, 2.0 + 0.3j)]:
+            for mu_left, mu_right in [((M,), (0,)), ((M, 0), (M - 1, 0)), ((M, M - 2, 1), (M - 1, 3, 2))]:
+                F = amplitude_table(M, beta, len(mu_left))
+                want = complex(np.linalg.det(F[np.ix_(mu_left, mu_right)]))
+                assert walker_amplitude_multi(mu_left, mu_right, beta, M) == want
+
     def test_endpoint_validation(self):
         with pytest.raises(ValueError):
             walker_amplitude_multi((1, 2), (2, 1), 1.0, 4)
