@@ -252,8 +252,8 @@ def amplitude_table(M: int, beta, n_particles: int = 1) -> np.ndarray:
     """
     if M < 0 or n_particles < 1:
         raise ValueError("need M >= 0 and n_particles >= 1")
-    sites = np.arange(M + 1)
-    table = _amplitude_table_cached(M, complex(beta), n_particles % 2 == 0)[np.subtract.outer(sites, sites) + M]
+    f = _amplitude_table_cached(M, complex(beta), n_particles % 2 == 0)
+    table = f[np.subtract.outer(np.arange(M + 1), np.arange(M + 1)) + M]
     table.setflags(write=False)
     return table
 

@@ -241,5 +241,6 @@ class TestStatesFromTheHamiltonian:
         assert seen == [(6, 2)]
 
     def test_caches_are_bounded(self):
-        for cache in (edoracle.sector_basis, edoracle._index_map, edoracle._hamiltonian_cached, edoracle._eigh_cached):
+        caches = (edoracle.sector_basis, edoracle._index_map, edoracle._hamiltonian_cached, edoracle._eigh_cached)
+        for cache in caches:
             assert cache.cache_info().maxsize is not None
