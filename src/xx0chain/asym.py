@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .boxcount import a_cspp, macmahon
+from .boxcount import macmahon
 
 __all__ = [
     "GLAISHER_A",
@@ -82,16 +82,11 @@ def log_barnes_g(z: float) -> float:
 
 
 def mehta_integral(N: int) -> float:
-    """Gaussian-ensemble normalization: G(N+1) / (2*pi)^(N/2)."""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if N <= 40:
-        g = barnes_g_integer(N)  # = G(N+1)
-        try:
-            return float(g) / (2.0 * math.pi) ** (N / 2.0)
-        except OverflowError:
-            return math.exp(math.log(g) - 0.5 * N * _LOG_2PI)
-    return math.exp(log_barnes_g(float(N)) - 0.5 * N * _LOG_2PI)
+    """Gaussian-ensemble normalization: G(N+1) / (2*pi)^(N/2) = exp(phi_N).
+
+    Raises OverflowError from N = 28 on, where the value leaves the float range.
+    """
+    return math.exp(phi_n(N))
 
 
 def phi_n(N: int) -> float:
@@ -119,26 +114,19 @@ _EXACT_P_LIMIT = 10**4
 def log_a_cspp(N: int, P: int) -> float:
     """log of the column-strict count in an N x N x P box.
 
-    Exact big-integer product for desk-scale arguments, Barnes G-ratios
-    beyond (math.log takes arbitrary ints, so no overflow either way).
+    log_box_count(N, N, P-N+1): less the staircase, a column-strict array is
+    a plane partition in the N x N x (P-N+1) box (boxcount.a_cspp).
     """
-    if N == 0:
-        return 0.0
-    if N <= _EXACT_N_LIMIT and P <= _EXACT_P_LIMIT:
-        return math.log(a_cspp(N, P))
-    # G^2(N+1) G(P+2+N) G(P+2-N) / (G(2N+1) G^2(P+2)); log_barnes_g(z) = log G(z+1)
-    return (
-        2.0 * log_barnes_g(N)
-        + log_barnes_g(P + 1 + N)
-        + log_barnes_g(P + 1 - N)
-        - log_barnes_g(2 * N)
-        - 2.0 * log_barnes_g(P + 1)
-    )
+    return log_box_count(N, N, P - N + 1)
 
 
 @lru_cache(maxsize=256)
 def log_box_count(L: int, N: int, P: int) -> float:
-    """log of the plane-partition count in an L x N x P box (exact or Barnes)."""
+    """log of the plane-partition count in an L x N x P box.
+
+    math.log of the exact big integer for sides up to 64 and P up to 10^4,
+    a Barnes G-ratio beyond (math.log takes arbitrary ints, so neither overflows).
+    """
     if L == 0 or N == 0 or P == 0:
         return 0.0
     if max(L, N) <= _EXACT_N_LIMIT and P <= _EXACT_P_LIMIT:
@@ -169,21 +157,30 @@ class AsymptoticEstimate:
             raise AssertionError("pieces do not sum to the log value")
 
 
-def ferro_asymptotic(M: int, N: int, n: int, beta: float) -> AsymptoticEstimate:
-    """Low-temperature estimate of the empty-string correlator.
-
-    log T ~ 2 log A_cspp(N, N, M-n) + Phi(N, M, beta): a squared boxed-count
-    amplitude, the exactly-linear critical term -(N^2/2) log(beta), and the
-    chain-size/Mehta term.
-    """
-    if n < 0 or M - n < N - 1:
-        raise ValueError("need n >= 0 and M - n >= N - 1")
+def _estimate(M: int, N: int, n: int, beta: float, L: int, P: int) -> AsymptoticEstimate:
+    """2 log A(L, N, P) + Phi(N, M, beta): a squared boxed-count amplitude,
+    the exactly-linear critical term -(N^2/2) log(beta), and the
+    chain-size/Mehta term."""
+    if not 0 < beta < math.inf:  # also rejects NaN
+        raise ValueError("need beta > 0 and finite")
     pieces = {
-        "amplitude": 2.0 * log_a_cspp(N, M - n),
+        "amplitude": 2.0 * log_box_count(L, N, P),
         "critical_exponent": -0.5 * N * N * math.log(beta),
         "phi": N * N * math.log(2.0 * math.pi / (M + 1)) + 3.0 * phi_n(N),
     }
     return AsymptoticEstimate(sum(pieces.values()), pieces, (M, N, n, beta))
+
+
+def ferro_asymptotic(M: int, N: int, n: int, beta: float) -> AsymptoticEstimate:
+    """Low-temperature estimate of the empty-string correlator.
+
+    log T ~ 2 log A_cspp(N, M-n) + Phi(N, M, beta), where the column-strict
+    count A_cspp(N, M-n) is the plane-partition count A(N, N, M-n-N+1)
+    (boxcount.a_cspp).
+    """
+    if n < 0 or M - n < N - 1:
+        raise ValueError("need n >= 0 and M - n >= N - 1")
+    return _estimate(M, N, n, beta, N, M - n - N + 1)
 
 
 def domain_wall_asymptotic(M: int, N: int, n: int, beta: float) -> AsymptoticEstimate:
@@ -193,12 +190,7 @@ def domain_wall_asymptotic(M: int, N: int, n: int, beta: float) -> AsymptoticEst
     """
     if not 0 <= n <= N or M - N + 1 < 0:
         raise ValueError("need 0 <= n <= N and M >= N - 1")
-    pieces = {
-        "amplitude": 2.0 * log_box_count(N - n, N, M - N + 1),
-        "critical_exponent": -0.5 * N * N * math.log(beta),
-        "phi": N * N * math.log(2.0 * math.pi / (M + 1)) + 3.0 * phi_n(N),
-    }
-    return AsymptoticEstimate(sum(pieces.values()), pieces, (M, N, n, beta))
+    return _estimate(M, N, n, beta, N - n, M - N + 1)
 
 
 def decreasing_regime(T: float, M: int, N: int, n: int, amplitude_constant: float) -> bool:

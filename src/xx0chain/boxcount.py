@@ -37,12 +37,12 @@ def _box_exponents(L: int, N: int, P: int) -> tuple[list[int], list[int]]:
     return [P + j + k - 1 for j, k in cells], [j + k - 1 for j, k in cells]
 
 
-def _cspp_exponents(N: int, P: int) -> tuple[list[int], list[int]]:
-    """The same for column-strict arrays in an N x N x P box."""
-    if N < 0 or (N > 0 and P < N - 1):
+def _cspp_height(N: int, P: int) -> int:
+    """P - N + 1: a column-strict array in an N x N x P box, less the staircase
+    N-1, N-2, ..., 0 down every column, is a plane partition in an N x N x (P-N+1) box."""
+    if N < 0 or P < N - 1:
         raise ValueError(f"need N >= 0 and P >= N-1 for column-strict arrays, got N={N}, P={P}")
-    cells = [(j, k) for j in range(1, N + 1) for k in range(1, N + 1)]
-    return [P + 1 + j - k for j, k in cells], [j + k - 1 for j, k in cells]
+    return P - N + 1
 
 
 def _q_ratio(num: list[int], den: list[int]) -> LaurentPoly:
@@ -89,15 +89,15 @@ def macmahon(L: int, N: int, P: int) -> int:
 def zq_cspp(N: int, P: int) -> LaurentPoly:
     """Volume generating function of column-strict arrays in an N x N x P box.
 
-    q^(N^2(N-1)/2) * prod_{j,k<=N} (1 - q^(P+1+j-k)) / (1 - q^(j+k-1)); the
-    prefactor is the volume of the minimal (staircase) array.
+    q^(N^2(N-1)/2) * zq(N, N, P-N+1): removing the staircase array, whose
+    volume is the prefactor, leaves a plane partition of the N x N x (P-N+1) box.
     """
-    return _q_ratio(*_cspp_exponents(N, P)).shift(exact_half(N * N * (N - 1)))
+    return zq(N, N, _cspp_height(N, P)).shift(exact_half(N * N * (N - 1)))
 
 
 def a_cspp(N: int, P: int) -> int:
-    """Number of column-strict arrays in an N x N x P box, exactly."""
-    return _int_ratio(*_cspp_exponents(N, P))
+    """Number of column-strict arrays in an N x N x P box: macmahon(N, N, P-N+1) (see zq_cspp)."""
+    return macmahon(N, N, _cspp_height(N, P))
 
 
 def kuperberg_matrix(L: int, N: int, P: int) -> list[list[LaurentPoly]]:

@@ -145,15 +145,9 @@ def cmd_count(args) -> int:
                         row["value"] = str(boxcount.macmahon(L, N, P))
                     elif args.kind == "zq":
                         row["value"] = boxcount.zq(L, N, P).to_json_obj()
-                    else:
-                        if P == 0:
-                            poly = qexact.LaurentPoly.const(1)
-                        else:
-                            t = qexact.IndexTuples(
-                                tuple(range(L + N, L + N + P)), tuple(range(L, L + P))
-                            )
-                            poly = qexact.q_binomial_determinant(t)
-                        row["value"] = poly.to_json_obj()
+                    else:  # the empty determinant (P == 0) is 1
+                        t = qexact.IndexTuples(tuple(range(L + N, L + N + P)), tuple(range(L, L + P)))
+                        row["value"] = qexact.q_binomial_determinant(t).to_json_obj()
                     rows.append(row)
         columns = ["L", "N", "P", "value"]
     else:  # a_cspp / zq_cspp over (N, P)
@@ -409,7 +403,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # the library's domain checks: an out-of-range argument
+        sys.stderr.write(f"xx0chain {args.command}: {exc}\n")
+        return 2
 
 
 def console_entry() -> None:  # pragma: no cover - thin wrapper

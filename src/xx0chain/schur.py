@@ -116,7 +116,7 @@ def schur_jacobi_trudi(lam, coords):
     return _det_auto(rows, track)
 
 
-def _check_distinct(coords, track: str):
+def _check_distinct(coords, track: str = _NUMERIC):
     n = len(coords)
     if track == _NUMERIC:
         xs = [complex(x) for x in coords]
@@ -125,14 +125,14 @@ def _check_distinct(coords, track: str):
             for l in range(m + 1, n):
                 if abs(xs[m] - xs[l]) <= 1e-10 * scale:
                     raise DegenerateInputError(
-                        "coincident coordinates; use schur_jacobi_trudi instead"
+                        "coincident coordinates; use schur_jacobi_trudi or a brute-force sum instead"
                     )
     else:
         for m in range(n):
             for l in range(m + 1, n):
                 if coords[m] == coords[l]:
                     raise DegenerateInputError(
-                        "coincident coordinates; use schur_jacobi_trudi instead"
+                        "coincident coordinates; use schur_jacobi_trudi or a brute-force sum instead"
                     )
 
 

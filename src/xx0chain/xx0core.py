@@ -37,8 +37,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateInputError, EnumerationBudgetError
-from .schur import kernel_entry, vandermonde
+from .errors import EnumerationBudgetError
+from .schur import _check_distinct, binet_cauchy_kernel, kernel_entry, vandermonde
 
 __all__ = [
     "ChainParams",
@@ -140,33 +140,23 @@ def norm_squared(state: BetheState) -> float:
 def scalar_product(v, u, M: int) -> complex:
     """Overlap of a bra at parameters v with a ket at parameters u.
 
-    Determinant of geometric kernels in u_k^2 / v_j^2 with exponent M+1,
+    The Cauchy-Binet kernel schur.binet_cauchy_kernel(M+1-N, 0, v^-2, u^2):
+    the determinant of geometric kernels in u_k^2 / v_j^2 with exponent M+1,
     normalized by the two Vandermondes; diagonal-degenerate entries take
-    their analytic value M+1.
+    their analytic value M+1.  With N > M+1 that N x N matrix has rank at
+    most M+1, and the overlap is 0.
     """
     v = tuple(v)
     u = tuple(u)
     if len(v) != len(u):
         raise ValueError("parameter tuples must have equal length")
-    N = len(u)
-    if N == 0:
-        return 1.0 + 0.0j
     u2 = [complex(x) ** 2 for x in u]
     vm2 = [complex(x) ** (-2) for x in v]
-    _require_distinct(u2, "ket")
-    _require_distinct(vm2, "bra")
-    rows = [[kernel_entry(u2[k] * vm2[j], M + 1) for j in range(N)] for k in range(N)]
-    return complex(np.linalg.det(np.array(rows, dtype=complex))) / (vandermonde(u2) * vandermonde(vm2))
-
-
-def _require_distinct(points, which: str):
-    scale = max(abs(p) for p in points) or 1.0
-    for m in range(len(points)):
-        for l in range(m + 1, len(points)):
-            if abs(points[m] - points[l]) <= 1e-10 * scale:
-                raise DegenerateInputError(
-                    f"coincident {which} coordinates; use the brute-force Schur sum instead"
-                )
+    if len(u) > M + 1:
+        _check_distinct(u2)
+        _check_distinct(vm2)
+        return 0j
+    return complex(binet_cauchy_kernel(M + 1 - len(u), 0, vm2, u2))
 
 
 def efp_formfactor(state: BetheState, n: int) -> float:
@@ -212,9 +202,8 @@ def domain_wall_formfactor(v, u, n: int, M: int) -> complex:
         return 1.0 + 0.0j
     u2 = [complex(x) ** 2 for x in u]
     vm2 = [complex(x) ** (-2) for x in v]
-    if u2:
-        _require_distinct(u2, "ket")
-    _require_distinct(vm2, "bra")
+    _check_distinct(u2)
+    _check_distinct(vm2)
     rows = []
     for k in range(1, N - n + 1):
         rows.append([kernel_entry(u2[k - 1] * vm2[j - 1], M + 1) for j in range(1, N + 1)])

@@ -78,6 +78,13 @@ class TestMehta:
         for N in range(1, 21):
             assert math.exp(phi_n(N)) == pytest.approx(mehta_integral(N), rel=1e-12)
 
+    def test_overflow_from_n_28(self):
+        assert math.isfinite(mehta_integral(27))
+        with pytest.raises(OverflowError):
+            mehta_integral(28)
+        with pytest.raises(ValueError):
+            mehta_integral(0)
+
     def test_phi_examples(self):
         assert phi_n(1) == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-14)
         assert phi_n(4) == pytest.approx(math.log(12) - 2 * math.log(2 * math.pi), rel=1e-12)
@@ -109,6 +116,9 @@ class TestEstimates:
     def test_ferro_amplitude_is_squared_count(self):
         est = ferro_asymptotic(20, 2, 3, 10.0)
         assert math.exp(est.pieces["amplitude"]) == pytest.approx(a_cspp(2, 17) ** 2, rel=1e-9)
+        # M - n = N - 1 leaves room for the staircase alone, also beyond the exact-N threshold
+        for N in (3, 70):
+            assert ferro_asymptotic(N - 1, N, 0, 2.0).pieces["amplitude"] == 0.0
 
     def test_ferro_slope_exact(self):
         for N in (1, 2, 3):
@@ -135,19 +145,12 @@ class TestEstimates:
         assert est.log_value == pytest.approx(sum(est.pieces.values()), rel=1e-14)
 
     def test_barnes_branches_track_exact(self):
-        # force the G-ratio branch by exceeding the exact-N threshold
-        from xx0chain import asym
-
-        got = (
-            2.0 * log_barnes_g(70)
-            + log_barnes_g(200 + 1 + 70)
-            + log_barnes_g(200 + 1 - 70)
-            - log_barnes_g(140)
-            - 2.0 * log_barnes_g(201)
-        )
-        # same quantity through the public helper (which picks exact here)
-        want = log_a_cspp(70, 200)
-        assert got == pytest.approx(want, rel=1e-6)
+        # sides above the exact-N threshold of 64 take the G-ratio branch; the
+        # exact integers are still cheap here (measured relative error 2.8e-10,
+        # 1.4e-10 and 3.2e-11)
+        assert log_a_cspp(70, 200) == pytest.approx(math.log(a_cspp(70, 200)), rel=1e-9)
+        for sides in [(80, 70, 300), (97, 100, 901)]:
+            assert log_box_count(*sides) == pytest.approx(math.log(macmahon(*sides)), rel=1e-9)
 
     def test_cached_counts_match_uncached(self):
         # the exact branch (N <= 64), the Barnes branch, and the zero-side shortcuts
@@ -165,6 +168,10 @@ class TestEstimates:
             ferro_asymptotic(3, 3, 2, 1.0)
         with pytest.raises(ValueError):
             big_phi(2, 10, 0.0)
+        for est in (ferro_asymptotic, domain_wall_asymptotic):
+            for beta in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="beta > 0 and finite"):
+                    est(20, 2, 1, beta)
 
     def test_decreasing_regime_predicate(self):
         # bound is N*M^2/(c^2 (M-n)^4) = 5e-4 for N=5, M=100, n=0, c=1

@@ -109,6 +109,9 @@ class TestCount:
         got = LaurentPoly.from_json_obj(json.loads(out)["rows"][0]["value"])
         want = LaurentPoly.monomial(1, exact_half(2 * 2 * 1)) * zq(2, 2, 2)
         assert got == want
+        # the empty determinant at P = 0
+        _, out = run_cli(["count", "qbinom_det", "--P", "0", "--format", "json"], capsys)
+        assert json.loads(out)["rows"][0]["value"] == {"0": "1"}
 
 
 # sha256 of stdout, recorded before the exact layer moved to integer arithmetic
@@ -125,6 +128,29 @@ def test_count_output_bytes_pinned(command, capsys):
     rc, out = run_cli(command.split() + ["--format", "json"], capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_COUNT_OUTPUTS[command]
+
+
+# sha256 of stdout (csv), recorded before the column-strict counts and both
+# estimates went through one box count; the last three rows use Barnes G-ratios
+PINNED_ASYM_OUTPUTS = {
+    "asym ferro --M 60 --N 6 --n 1,3 --beta 8,40 --exact-max-M 60":
+        "ee69a3a85b91043db290f5e64fe2f96617e0ce55fa233a61d287d5e34052403e",
+    "asym domain_wall --M 200 --N 16 --n 2,5 --beta 3,20 --exact-max-M 200":
+        "444d85c3c407c885ed1cf547b3163c820753c695526d4ab605ba52a9193bdb1d",
+    "asym ferro --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
+        "aaa4b8dfc06c9afe6aa52023ce2d13823dcbfd4865891a286a07b4913b529408",
+    "asym domain_wall --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
+        "1032775d3ecd89cb5bd7e7464f7450437a60d81556dc722c361d9fa4f380134b",
+    "asym ferro --M 300 --N 70 --n 1,2 --beta 5 --exact-max-M 24":
+        "d3d568e1cb57595dfa531520df1812d89df976cc9114582362150f5cfa06febb",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_ASYM_OUTPUTS))
+def test_asym_output_bytes_pinned(command, capsys):
+    rc, out = run_cli(command.split(), capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ASYM_OUTPUTS[command]
 
 
 class TestVerify:
@@ -262,6 +288,28 @@ class TestParser:
         for argv, got in zip(self.SEQUENCE, reused):
             cli._build_parser.cache_clear()
             assert run_cli(argv, capsys) == got, argv
+
+    # arguments outside a function's domain: one stderr line naming the constraint, exit 2
+    OUT_OF_DOMAIN = [
+        ("asym ferro --M 5 --N 3 --n 4", "need n >= 0 and M - n >= N - 1"),
+        ("asym ferro --beta 0", "need beta > 0 and finite"),
+        ("asym domain_wall --beta nan", "need beta > 0 and finite"),
+        ("asym domain_wall --N 2 --n 3", "need 0 <= n <= N and M >= N - 1"),
+        ("correlator ferro --M 5 --N 3 --n 9", "need 0 <= n <= M+1"),
+        ("correlator ferro --M 5 --N 9", "need 0 <= N <= M+1"),
+        ("count zq_cspp --N 3 --P 1", "P >= N-1"),
+        ("count macmahon --L -1", "box sides must be non-negative"),
+    ]
+
+    @pytest.mark.parametrize("command,constraint", OUT_OF_DOMAIN)
+    def test_out_of_domain_is_a_usage_error(self, command, constraint, capsys):
+        rc = cli.main(command.split())
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"xx0chain {command.split()[0]}: ")
+        assert constraint in captured.err
 
     def test_usage_error_leaves_the_parser_usable(self, capsys):
         with pytest.raises(SystemExit):

@@ -123,6 +123,14 @@ class TestNormsAndOverlaps:
     def test_scalar_product_degenerate_rejected(self):
         with pytest.raises(DegenerateInputError):
             scalar_product((1.0, 1.0), (0.5, 0.7), 5)
+        with pytest.raises(DegenerateInputError):
+            domain_wall_formfactor((0.5, 0.7, 0.9), (1.0, -1.0), 1, 5)
+
+    def test_scalar_product_beyond_capacity_is_zero(self):
+        # N > M+1: the kernel matrix has rank at most M+1; coincident points still fail
+        assert scalar_product((0.9, 1.1, 1.3), (0.5, 0.7, 0.8), 1) == 0
+        with pytest.raises(DegenerateInputError):
+            scalar_product((0.9, 1.1, 1.3), (0.5, 0.5, 0.8), 1)
 
 
 class TestEmptinessFormation:
