@@ -5,8 +5,9 @@ form-factors under the geometric-point parametrization.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 
 from .errors import ExactDivisionError
 from .qexact import IndexTuples, LaurentPoly, exact_det, exact_half, q_binomial_determinant
@@ -65,11 +66,33 @@ def _q_ratio(num: list[int], den: list[int]) -> LaurentPoly:
 
 
 def _int_ratio(num: list[int], den: list[int]) -> int:
-    """prod(num) / prod(den), which must be an integer."""
-    quot, rem = divmod(prod(num), prod(den))
-    if rem:  # pragma: no cover - the product formulas are always integral
+    """prod(num) / prod(den), which must be an integer.
+
+    Built from prime exponents, so no big product is ever divided: e[v] starts
+    as the multiplicity of v in num less that in den, and from the top down
+    each composite v = p * (v // p) hands its e[v] to both factors, p being
+    a prime factor of v from a sieve.  What is left on the primes is the
+    factorization of the ratio.
+    """
+    mult = Counter(num)
+    mult.subtract(Counter(den))
+    top = max(mult, default=1)
+    pf = list(range(top + 1))  # pf[v] is a prime factor of v, and v itself iff v is prime
+    for p in range(2, isqrt(top) + 1):
+        if pf[p] == p:
+            pf[p * p::p] = [p] * len(range(p * p, top + 1, p))
+    e = [0] * (top + 1)
+    for v, m in mult.items():
+        e[v] = m
+    for v in range(top, 1, -1):
+        p = pf[v]
+        if p != v and e[v]:
+            e[p] += e[v]
+            e[v // p] += e[v]
+    primes = [p for p in range(2, top + 1) if pf[p] == p]
+    if any(e[p] < 0 for p in primes):
         raise ExactDivisionError("box count did not reduce to an integer")
-    return quot
+    return prod(p ** e[p] for p in primes)
 
 
 def zq(L: int, N: int, P: int) -> LaurentPoly:

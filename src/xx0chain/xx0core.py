@@ -23,6 +23,14 @@ cos phi)) (Colomo, Izergin, Korepin & Tognetti, Theor. Math. Phys. 94,
 exp(-beta E_S) |det C[:, S]|^2 over the N-subsets S of the momenta, which
 are the Bethe states.  Both work in log space and never form (M+1)^N or
 exp(beta N).
+
+Each piece of determinant work is done once per process.  C does not depend
+on beta, and the CLI sweeps beta innermost, so _site_matrix keeps the last C
+it built (read-only, shared by every beta of the sweep).  The `asym` tables
+read back the correlators that the `correlator` tables of the same chain
+have just computed, so _gram_log_value keeps the recent Gram determinants,
+keyed on complex(beta); callers still get a fresh CorrelatorResult with
+their own params.
 """
 
 from __future__ import annotations
@@ -306,13 +314,15 @@ def _site_sums(M: int, lo: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)  # C is beta-independent and beta is swept innermost
 def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
     """(C, 2m of the momenta, Ng, E_gs): the N x (M+1) site-sum matrix both paths share.
 
     The columns are the N-particle momenta; Ng is the ground state's particle
     number.  Ferro (N >= 1, n <= M+1-N): Ng = N rows of site sums over
     k = n..M.  Domain wall: Ng = N-n rows of site sums over k = 0..M stacked
-    on n plane-wave rows exp(-i s phi), s = n-1..0.
+    on n plane-wave rows exp(-i s phi), s = n-1..0.  C and 2m are cached and
+    read-only.
     """
     Ng, lo = (N, n) if kind == "ferro" else (N - n, 0)
     t = 2 * (M + 1)
@@ -324,9 +334,12 @@ def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndar
     if kind == "domain_wall":
         C = np.vstack([C, np.exp(-2j * pi * (np.multiply.outer(np.arange(n - 1, -1, -1), tm) % t) / t)])
     e_gs = -float(np.sum(np.cos(pi * tm_g / (M + 1))))
+    C.setflags(write=False)
+    tm.setflags(write=False)
     return C, tm, Ng, e_gs
 
 
+@lru_cache(maxsize=256)  # holds a chain's correlator and asym grids, both kinds, many times over
 def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, float]:
     """(log of the determinant-path correlator, conditioning estimate).
 
@@ -337,6 +350,10 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, f
     the largest one, which is added back as a log.  The estimate is NaN where
     slogdet stands in for Cholesky (complex beta, or not positive definite in
     double precision); the caller warns on NaN too.
+
+    Cached, because `asym` asks again for every value `correlator` printed;
+    _persistence passes complex(beta), so an int, float or complex beta of
+    equal value shares one entry.
     """
     C, tm, Ng, e_gs = _site_matrix(kind, M, N, n)
     b = complex(beta)
@@ -344,8 +361,8 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, f
     log_w = (b.real if real_beta else b) * np.cos(pi * tm / (M + 1))
     shift = float(np.max(log_w.real))
     Cw = C * np.exp(log_w - shift)
-    np.conjugate(C, out=C)  # in place: C is not needed again, so no third N x (M+1) array
-    G = Cw @ C.T
+    np.conjugate(Cw, out=Cw)  # the cached C stays as it is, and no third N x (M+1) array is made
+    G = np.conjugate(Cw @ C.T)
     log_det, ratio = _log_det(G, hermitian=real_beta)
     return log_det + N * shift + b * e_gs - (N + Ng) * math.log(M + 1), ratio
 
@@ -419,7 +436,7 @@ def _persistence(kind: str, M: int, N: int, n: int, beta, method: str, max_state
     elif kind == "ferro" and n > M + 1 - N:
         log_value = complex(-math.inf)  # no room for n empty sites: the projector kills the state
     elif method == "determinant":
-        log_value, ratio = _gram_log_value(kind, M, N, n, beta)
+        log_value, ratio = _gram_log_value(kind, M, N, n, complex(beta))
         if not ratio <= PIVOT_RATIO_WARNING:  # a NaN estimate is ill-conditioned too
             warnings.append(f"ill-conditioned determinant (conditioning estimate {ratio:.2e})")
     else:

@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 
 from xx0chain.boxcount import (
+    _int_ratio,
     a_cspp,
     box_det_identity,
     kuperberg_matrix,
@@ -13,6 +15,7 @@ from xx0chain.boxcount import (
     zq_cspp,
 )
 from xx0chain.combinat import BoxDims, enumerate_column_strict_pp, enumerate_plane_partitions
+from xx0chain.errors import ExactDivisionError
 from xx0chain.qexact import (
     IndexTuples,
     LaurentPoly,
@@ -109,6 +112,39 @@ class TestGeneratingFunctions:
         for N, P in [(0, 0), (1, 0), (3, 2), (4, 9), (9, 20), (20, 40)]:
             cells = [(j, k) for j in range(1, N + 1) for k in range(1, N + 1)]
             assert a_cspp(N, P) == fraction_product((P + 1 + j - k, j + k - 1) for j, k in cells)
+
+    # (L, N, P) of the low-temperature estimates on the det-grid benchmark
+    # chains, seed 1, up to (100,100,898), and of the exact-q macmahon counts
+    DET_GRID_BOXES = (
+        (0, 6, 55), (1, 6, 55), (2, 6, 55), (5, 10, 391), (6, 6, 49), (6, 6, 50), (6, 6, 51),
+        (7, 8, 5), (7, 10, 91), (7, 10, 391), (8, 10, 91), (9, 10, 91), (9, 10, 391),
+        (10, 10, 2), (10, 10, 88), (10, 10, 89), (10, 10, 90), (10, 10, 386), (10, 10, 388),
+        (10, 10, 390), (11, 16, 185), (12, 16, 185), (14, 16, 185), (16, 16, 180), (16, 16, 181),
+        (16, 16, 183), (16, 20, 981), (18, 20, 981), (19, 20, 981), (20, 20, 4), (20, 20, 38),
+        (20, 20, 977), (20, 20, 979), (20, 20, 980), (35, 40, 961), (36, 40, 361), (37, 40, 361),
+        (37, 40, 961), (38, 40, 361), (38, 40, 961), (40, 40, 357), (40, 40, 358), (40, 40, 359),
+        (40, 40, 956), (40, 40, 958), (40, 40, 959), (54, 60, 941), (55, 60, 941), (59, 60, 941),
+        (60, 60, 935), (60, 60, 936), (60, 60, 940), (97, 100, 901), (100, 100, 898),
+    )
+    EXACT_Q_BOXES = (
+        (5, 6, 20), (6, 20, 22), (8, 1, 22), (8, 24, 12), (11, 23, 15), (11, 27, 12), (12, 1, 22),
+        (13, 3, 23), (16, 17, 21), (16, 21, 16), (16, 29, 1), (17, 19, 6), (19, 6, 11), (21, 6, 21),
+        (21, 15, 10), (23, 27, 30), (26, 3, 29), (26, 5, 6), (26, 16, 4), (27, 11, 30), (28, 3, 29),
+        (28, 16, 21), (29, 7, 17), (30, 13, 3), (8, 8, 8), (8, 6, 7), (6, 6, 6),
+    )
+
+    def test_counts_match_one_integer_division(self):
+        # the literal product of the numerator factors, divided once with divmod
+        for L, N, P in self.DET_GRID_BOXES + self.EXACT_Q_BOXES:
+            cells = [(j, k) for j in range(1, L + 1) for k in range(1, N + 1)]
+            want, rem = divmod(prod(P + j + k - 1 for j, k in cells), prod(j + k - 1 for j, k in cells))
+            assert rem == 0 and macmahon(L, N, P) == want, (L, N, P)
+
+    def test_int_ratio_rejects_a_fraction(self):
+        assert _int_ratio([4, 9, 5], [6, 3]) == 10
+        for num, den in (([2], [4]), ([6], [4]), ([], [3])):
+            with pytest.raises(ExactDivisionError):
+                _int_ratio(num, den)
 
     def test_generating_functions_match_one_polynomial_division(self):
         # the product of the numerator factors divided once by exact_div

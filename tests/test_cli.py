@@ -153,6 +153,29 @@ def test_asym_output_bytes_pinned(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ASYM_OUTPUTS[command]
 
 
+# sha256 of stdout (csv) of long-chain determinant-path tables, recorded
+# before the site-sum matrix and the Gram values were cached
+PINNED_DET_OUTPUTS = {
+    "correlator ferro --M 1000 --N 60 --n 1,3 --beta 0.5,3":
+        "1e1a0414d697c4cbe88930b2002170e72049eeb6d9355076709809c83e90b532",
+    "correlator domain_wall --M 1000 --N 60 --n 1,3 --beta 0.5,3":
+        "09eac1a82f42de483cd4cc129842ea7fadf4078a70f26de7c07c2fd4a2635e70",
+    "correlator ferro --M 1000 --N 100 --n 3 --beta 1":
+        "5ae46ee22cfda2488d87b0cd522573e660fdc54c69167e0a3f554b89991935b2",
+    "correlator domain_wall --M 1000 --N 100 --n 3 --beta 1":
+        "713cc0e9a0ae41a93bf1736cf09b58981521628b902f44b15133f037ac045af2",
+    "asym ferro --M 400 --N 40 --n 2,5 --beta 1,6 --exact-max-M 400":
+        "4d37fc53fdb2d8822b54e00f0d4fce3df474cf1a9d341690f7c56b4d4ce82f3f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_DET_OUTPUTS))
+def test_determinant_output_bytes_pinned(command, capsys):
+    rc, out = run_cli(command.split(), capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DET_OUTPUTS[command]
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         rc, out = run_cli(["verify"], capsys)

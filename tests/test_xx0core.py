@@ -6,7 +6,7 @@ from math import comb, pi, sqrt
 import numpy as np
 import pytest
 
-from xx0chain import xx0core
+from xx0chain import cli, xx0core
 from xx0chain.errors import DegenerateInputError
 from xx0chain.schur import binet_cauchy_bruteforce
 from xx0chain.xx0core import (
@@ -461,9 +461,16 @@ class TestGramDriver:
             _, ratio = _log_det(np.array([[2.0, 1.0], [1.0, math.nan]]), hermitian=True)
         assert math.isnan(ratio)
         monkeypatch.setattr(xx0core, "_log_det", lambda G, hermitian: (0j, math.nan))
-        for fn in (persistence_ferro, persistence_domain_wall):
-            res = fn(8, 2, 1, 1.0)
-            assert any("ill-conditioned" in w for w in res.warnings)
+        # the cached Gram values sit in front of _log_det: empty the caches so
+        # the patch is reached, and again after, so its values do not outlive it
+        xx0core._gram_log_value.cache_clear()
+        xx0core._site_matrix.cache_clear()
+        try:
+            for fn in (persistence_ferro, persistence_domain_wall):
+                res = fn(8, 2, 1, 1.0)
+                assert any("ill-conditioned" in w for w in res.warnings)
+        finally:
+            xx0core._gram_log_value.cache_clear()
 
     def test_memory_and_no_table(self):
         # the (M+1)^2 walker table, 16 MB at M = 1000, must not be built
@@ -479,6 +486,101 @@ class TestGramDriver:
         persistence_domain_wall(1000, 100, 3, 1.0)
         assert peak < 8 * 2**20
         assert xx0core._amplitude_table_cached.cache_info() == before
+
+
+def _clear_determinant_caches():
+    xx0core._gram_log_value.cache_clear()
+    xx0core._site_matrix.cache_clear()
+
+
+class TestDeterminantCaches:
+    """The cached site-sum matrix and Gram values change no result."""
+
+    FNS = {"ferro": persistence_ferro, "domain_wall": persistence_domain_wall}
+
+    @staticmethod
+    def _fields(res):
+        return repr(res.value), repr(res.log_abs), res.warnings
+
+    def test_repeated_and_cleared_calls_are_bit_identical(self):
+        # (12,10,1,40) and (12,8,1,40) carry the ill-conditioned warning
+        for kind, point in (("ferro", (30, 5, 2)), ("ferro", (12, 10, 1)),
+                            ("domain_wall", (30, 5, 2)), ("domain_wall", (12, 8, 1))):
+            fn = self.FNS[kind]
+            for x in (2, 40):
+                _clear_determinant_caches()
+                cold = self._fields(fn(*point, x))
+                for beta in (x, float(x), complex(x)):
+                    res = fn(*point, beta)
+                    assert self._fields(res) == cold, (kind, point, beta)
+                    assert res.params[3] is beta  # the caller's own beta object
+                    _clear_determinant_caches()
+                    assert self._fields(fn(*point, beta)) == cold, (kind, point, beta)
+
+    def test_nan_beta_still_warns(self):
+        for fn in self.FNS.values():
+            for _ in range(2):
+                res = fn(8, 2, 1, math.nan)
+                assert cmath.isnan(res.value)
+                assert any("ill-conditioned" in w for w in res.warnings)
+                assert any("non-finite" in w for w in res.warnings)
+
+    def test_cached_site_matrix_is_read_only_and_kept(self):
+        for kind in ("ferro", "domain_wall"):
+            _clear_determinant_caches()
+            C, tm, _, _ = xx0core._site_matrix(kind, 20, 4, 2)
+            assert not C.flags.writeable and not tm.flags.writeable
+            before = C.tobytes()
+            for beta in (1.5, 6.0):
+                _gram_log_value(kind, 20, 4, 2, complex(beta))
+            assert xx0core._site_matrix(kind, 20, 4, 2)[0] is C
+            assert C.tobytes() == before
+
+    def test_cold_evaluation_stays_small(self):
+        # test_memory_and_no_table may be served from the cache; here C and G are built
+        import tracemalloc
+
+        for fn in self.FNS.values():
+            _clear_determinant_caches()
+            tracemalloc.start()
+            try:
+                fn(1000, 100, 3, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+
+    def test_every_cache_is_bounded(self):
+        caches = {name: obj for name, obj in vars(xx0core).items() if hasattr(obj, "cache_parameters")}
+        assert {"_site_matrix", "_gram_log_value"} <= set(caches)
+        for name, obj in caches.items():
+            assert obj.cache_parameters()["maxsize"] is not None, name
+
+    def test_det_grid_sequence_does_each_piece_once(self, monkeypatch, capsys):
+        # det-grid's shape on one chain: correlator then asym, both kinds, over one n x beta grid
+        M, N, ns, betas = 40, 6, (1, 2, 3), (1.0, 2.5, 7.0)
+        site_sums, gram = [], []
+
+        def count_site_sums(M, lo, _f=xx0core._site_sums):
+            site_sums.append(lo)
+            return _f(M, lo)
+
+        def count_log_det(G, hermitian, _f=xx0core._log_det):
+            gram.append(G.shape)
+            return _f(G, hermitian)
+
+        monkeypatch.setattr(xx0core, "_site_sums", count_site_sums)
+        monkeypatch.setattr(xx0core, "_log_det", count_log_det)
+        _clear_determinant_caches()
+        grid = ["--M", str(M), "--N", str(N), "--n", ",".join(map(str, ns)), "--beta", ",".join(map(str, betas))]
+        for command in ("correlator", "asym"):
+            for kind in ("ferro", "domain_wall"):
+                extra = ["--exact-max-M", str(M)] if command == "asym" else []
+                assert cli.main([command, kind] + grid + extra) == 0
+        capsys.readouterr()
+        # ferro sums over sites n..M, the domain wall over 0..M for every n
+        assert sorted(site_sums) == [0, 0, 0, 1, 2, 3]
+        assert len(gram) == 2 * len(ns) * len(betas)
 
 
 def _schur_terms(kind, M, N, n):
