@@ -30,12 +30,14 @@ def q_power_points(N: int, start: int = 1) -> tuple[LaurentPoly, ...]:
     return tuple(LaurentPoly.monomial(1, start + i) for i in range(N))
 
 
-def _box_exponents(L: int, N: int, P: int) -> tuple[list[int], list[int]]:
-    """Exponents a, b of prod (1 - q^a) / prod (1 - q^b) for an L x N x P box."""
+def _box_exponents(L: int, N: int, P: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Exponents a, b of prod (1 - q^a) / prod (1 - q^b) for an L x N x P box,
+    as {exponent: multiplicity} maps: b = j + k - 1 over the cells (j, k) of
+    the L x N base, which min(s, L, N, L + N - s) cells share, and a = P + b."""
     if L < 0 or N < 0 or P < 0:
         raise ValueError("box sides must be non-negative")
-    cells = [(j, k) for j in range(1, L + 1) for k in range(1, N + 1)]
-    return [P + j + k - 1 for j, k in cells], [j + k - 1 for j, k in cells]
+    den = {s: min(s, L, N, L + N - s) for s in range(1, L + N)} if L and N else {}
+    return {P + s: m for s, m in den.items()}, den
 
 
 def _cspp_height(N: int, P: int) -> int:
@@ -46,27 +48,30 @@ def _cspp_height(N: int, P: int) -> int:
     return P - N + 1
 
 
-def _q_ratio(num: list[int], den: list[int]) -> LaurentPoly:
-    """prod (1 - q^a) / prod (1 - q^b) over a in num, b in den, on one integer list:
-    1 - q^a multiplies by shift-and-subtract, 1 - q^b divides by a stride-b
-    prefix sum whose top b entries (the remainder) must vanish."""
-    c = [1] + [0] * sum(num)
+def _q_ratio(num: dict[int, int], den: dict[int, int]) -> LaurentPoly:
+    """prod (1 - q^a)^m / prod (1 - q^b)^m over {exponent: multiplicity} maps,
+    on one integer list: 1 - q^a multiplies by shift-and-subtract, 1 - q^b
+    divides by a stride-b prefix sum whose top b entries (the remainder) must vanish."""
+    c = [1] + [0] * sum(a * m for a, m in num.items())
     deg = 0
-    for a in num:
-        deg += a
-        for i in range(deg, a - 1, -1):
-            c[i] -= c[i - a]
-    for b in den:  # all of num is in, so each 1 - q^b divides what is left
-        for i in range(b, deg + 1):
-            c[i] += c[i - b]
-        if any(c[deg - b + 1:deg + 1]):  # pragma: no cover - would be a bug
-            raise ExactDivisionError(f"generating function failed to divide by 1 - q^{b}")
-        deg -= b
+    for a, m in num.items():
+        for _ in range(m):
+            deg += a
+            for i in range(deg, a - 1, -1):
+                c[i] -= c[i - a]
+    for b, m in den.items():  # all of num is in, so each 1 - q^b divides what is left
+        for _ in range(m):
+            for i in range(b, deg + 1):
+                c[i] += c[i - b]
+            if any(c[deg - b + 1:deg + 1]):  # pragma: no cover - would be a bug
+                raise ExactDivisionError(f"generating function failed to divide by 1 - q^{b}")
+            deg -= b
     return LaurentPoly(dict(enumerate(c[:deg + 1])))
 
 
-def _int_ratio(num: list[int], den: list[int]) -> int:
-    """prod(num) / prod(den), which must be an integer.
+def _int_ratio(num, den) -> int:
+    """prod(num) / prod(den), which must be an integer; num and den are lists
+    of factors or {factor: multiplicity} maps, which Counter reads alike.
 
     Built from prime exponents, so no big product is ever divided: e[v] starts
     as the multiplicity of v in num less that in den, and from the top down

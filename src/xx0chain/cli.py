@@ -82,17 +82,17 @@ def cmd_correlator(args) -> int:
                 table = xx0core.amplitude_table(M, beta, 1)
                 for k in range(M + 1):
                     for l in range(M + 1):
-                        v = table[k, l]
+                        v = complex(table[k, l])
                         rows.append(
                             {
                                 "M": M,
                                 "beta": _fmt(beta),
                                 "k": k,
                                 "l": l,
-                                "value_re": _fmt(float(v.real)),
-                                "value_im": _fmt(float(v.imag)),
+                                "value_re": _fmt(v.real),
+                                "value_im": _fmt(v.imag),
                                 "method": "determinant",
-                                "warnings": "",
+                                "warnings": "" if cmath.isfinite(v) else f"non-finite value {v}",
                             }
                         )
         columns = ["M", "beta", "k", "l", "value_re", "value_im", "method", "warnings"]

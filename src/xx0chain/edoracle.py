@@ -1,12 +1,13 @@
 """Ground-truth engine: dense linear algebra on small chains.
 
-Builds the hopping Hamiltonian H block by block in the down-spin-number
-sectors, the n-site projector and the n-site down-spin insertion map, and
-evaluates every correlator as a literal matrix element on H's eigenpairs.
-The ground state is H's lowest eigenvector, unique by Perron-Frobenius (off-
-diagonal entries <= 0, connected hopping graph), so nothing here shares code
-with the formulas it checks.  build_state_vector is the paper's Schur-function
-form of the Bethe states, under test against H; the oracle never calls it.
+Each down-spin sector is one array of site rows in colex order (SectorBasis).
+On it the hopping Hamiltonian H, the n-site projector and the n-site down-spin
+insertion map are built by whole-array moves, and every correlator is a
+literal matrix element on H's eigenpairs.  The ground state is H's lowest
+eigenvector, unique by Perron-Frobenius (off-diagonal entries <= 0, connected
+hopping graph), so nothing here shares code with the formulas it checks.
+build_state_vector is the paper's Schur-function form of the Bethe states,
+under test against H; the oracle never calls it.
 """
 
 from __future__ import annotations
@@ -37,66 +38,75 @@ SECTOR_BUDGET = 5000
 ED_CACHE_SIZE = 4  # sectors kept per cache; at SECTOR_BUDGET one H and its eigenvectors take 400 MB
 
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Down-spin position tuples (strictly decreasing), in colex order.
+def _colex_rank(M: int, rows: np.ndarray) -> np.ndarray:
+    """Colex ranks sum_j W[j, c_j] of strictly decreasing site rows (k, N), where
+    W[j, s] = C(s, N - j) capped at SECTOR_BUDGET, which no term within budget reaches."""
+    N = rows.shape[1]
+    W = np.ones((N + 1, M + 1), dtype=np.intp)  # row N: C(s, 0) = 1
+    for j in range(N - 1, -1, -1):  # C(s, k) = sum over t < s of C(t, k - 1)
+        W[j] = np.minimum(np.cumsum(W[j + 1]) - W[j + 1], SECTOR_BUDGET)
+    return W[np.arange(N), rows].sum(axis=1)
 
-    Colex order is ascending order of the occupation bitmasks, fixed forever
-    so matrices are reproducible.
+
+@dataclass(frozen=True, eq=False)
+class SectorBasis:
+    """The N-down-spin sector of the (M+1)-site ring.
+
+    configurations is one read-only (dim, N) array: the down-spin sites,
+    strictly decreasing along each row, rows in colex order (ascending
+    occupation bitmask), fixed so matrices are reproducible.  index() is the
+    colex rank, which stays small where a 64-bit bitmask overflows (M >= 63).
     """
 
     M: int
     N: int
-    configurations: tuple[tuple[int, ...], ...]
+    configurations: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.configurations)
 
     def index(self, config) -> int:
-        return _index_map(self.M, self.N)[tuple(config)]
+        """Row number of config; KeyError unless config is a row of configurations."""
+        row = np.asarray(config, dtype=np.intp)
+        if row.shape == (self.N,) and 0 <= row.min(initial=0) and row.max(initial=0) <= self.M:
+            i = int(_colex_rank(self.M, row[None])[0])
+            if i < self.dim and np.array_equal(self.configurations[i], row):
+                return i
+        raise KeyError(tuple(config))
 
 
 @lru_cache(maxsize=ED_CACHE_SIZE)
 def sector_basis(M: int, N: int) -> SectorBasis:
     ChainParams(M, N)
-    if comb(M + 1, N) > SECTOR_BUDGET:
-        raise EnumerationBudgetError(
-            f"sector dimension {comb(M + 1, N)} exceeds budget {SECTOR_BUDGET}"
-        )
-    configs = sorted(combinations(range(M + 1), N), key=lambda c: sum(1 << s for s in c))
-    return SectorBasis(M, N, tuple(tuple(reversed(c)) for c in configs))
+    dim = comb(M + 1, N)
+    if dim > SECTOR_BUDGET:
+        raise EnumerationBudgetError(f"sector dimension {dim} exceeds budget {SECTOR_BUDGET}")
+    # combinations of the descending sites come in descending colex order
+    configs = np.array(list(combinations(range(M, -1, -1), N))[::-1], dtype=np.intp).reshape(dim, N)
+    configs.setflags(write=False)
+    return SectorBasis(M, N, configs)
 
 
 @lru_cache(maxsize=ED_CACHE_SIZE)
-def _index_map(M: int, N: int) -> dict:
-    basis = sector_basis(M, N)
-    return {c: i for i, c in enumerate(basis.configurations)}
+def build_hamiltonian(M: int, N: int) -> np.ndarray:
+    """Real symmetric hopping matrix on the N-down-spin sector (read-only).
 
-
-@lru_cache(maxsize=ED_CACHE_SIZE)
-def _hamiltonian_cached(M: int, N: int) -> np.ndarray:
-    basis = sector_basis(M, N)
-    idx = _index_map(M, N)
-    dim = basis.dim
-    H = np.zeros((dim, dim))
-    for c, config in enumerate(basis.configurations):
-        occ = set(config)
-        for k in range(M + 1):
-            kp = (k + 1) % (M + 1)
-            if k in occ and kp not in occ:
-                target = tuple(sorted((occ - {k}) | {kp}, reverse=True))
-                H[idx[target], c] += -0.5
-            if kp in occ and k not in occ:
-                target = tuple(sorted((occ - {kp}) | {k}, reverse=True))
-                H[idx[target], c] += -0.5
+    One move per particle j and step +-1 round the ring: each row whose target
+    site is empty adds -1/2 at (rank of the re-sorted moved row, its own row).
+    """
+    if 0 <= M + 1 - N < N:  # a hop moves a hole the other way; complements come in reverse colex order
+        return build_hamiltonian(M, M + 1 - N)[::-1, ::-1]
+    configs = sector_basis(M, N).configurations
+    H = np.zeros((len(configs), len(configs)))
+    for j in range(N):
+        for step in (1, -1):
+            site = (configs[:, j] + step) % (M + 1)
+            moved = np.where(np.arange(N) == j, site[:, None], configs)
+            src = np.flatnonzero((configs != site[:, None]).all(axis=1))
+            H[_colex_rank(M, -np.sort(-moved[src], axis=1)), src] += -0.5
     H.setflags(write=False)
     return H
-
-
-def build_hamiltonian(M: int, N: int) -> np.ndarray:
-    """Real symmetric hopping matrix on the N-down-spin sector (read-only)."""
-    return _hamiltonian_cached(M, N)
 
 
 @lru_cache(maxsize=ED_CACHE_SIZE)
@@ -126,20 +136,13 @@ def build_state_vector(u, M: int, N: int) -> np.ndarray:
     if len(u) != N:
         raise ValueError("need one parameter per down spin")
     u2 = tuple(complex(x) ** 2 for x in u)
-    vec = np.empty(basis.dim, dtype=complex)
-    for i, mu in enumerate(basis.configurations):
-        lam = tuple(mu[j] - (N - 1 - j) for j in range(N))
-        vec[i] = complex(schur_jacobi_trudi(lam, u2))
-    return vec
+    lams = (basis.configurations - np.arange(N - 1, -1, -1)).tolist()
+    return np.array([complex(schur_jacobi_trudi(tuple(lam), u2)) for lam in lams], dtype=complex)
 
 
 def projector_empty_sites(M: int, N: int, n: int) -> np.ndarray:
     """Diagonal 0/1 vector selecting configurations with sites 0..n-1 empty."""
-    basis = sector_basis(M, N)
-    forbidden = set(range(n))
-    return np.array(
-        [0.0 if forbidden & set(c) else 1.0 for c in basis.configurations]
-    )
+    return (sector_basis(M, N).configurations >= n).all(axis=1).astype(float)
 
 
 def domain_wall_insertion(M: int, N: int, n: int) -> np.ndarray:
@@ -149,15 +152,11 @@ def domain_wall_insertion(M: int, N: int, n: int) -> np.ndarray:
     """
     if not 0 <= n <= N:
         raise ValueError("need 0 <= n <= N")
-    src = sector_basis(M, N - n)
-    dst_idx = _index_map(M, N)
-    out = np.zeros((comb(M + 1, N), src.dim))
-    new_sites = set(range(n))
-    for c, config in enumerate(src.configurations):
-        if new_sites & set(config):
-            continue
-        target = tuple(sorted(set(config) | new_sites, reverse=True))
-        out[dst_idx[target], c] = 1.0
+    src = sector_basis(M, N - n).configurations
+    out = np.zeros((sector_basis(M, N).dim, len(src)))
+    keep = np.flatnonzero((src >= n).all(axis=1))
+    wall = np.broadcast_to(np.arange(n - 1, -1, -1), (len(keep), n))
+    out[_colex_rank(M, np.concatenate((src[keep], wall), axis=1)), keep] = 1.0
     return out
 
 

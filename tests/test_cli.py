@@ -59,6 +59,18 @@ class TestCorrelator:
             "d374ebf75702edd7f5b869abff768720a82aceef7225093b51c23c93b9a9003e"
         )
 
+    def test_walker_overflow_warns(self, capsys):
+        # exp(beta) overflows at beta = 800: every row is NaN and must say so
+        with pytest.warns(RuntimeWarning):
+            rc, out = run_cli(["correlator", "walker", "--M", "7", "--beta", "0.3,800"], capsys)
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2 * 64
+        for r in rows:
+            finite = math.isfinite(float(r["value_re"])) and math.isfinite(float(r["value_im"]))
+            assert finite == (r["beta"] == "0.3")
+            assert r["warnings"] == ("" if finite else "non-finite value (nan+nanj)")
+
     def test_efp_kind(self, capsys):
         rc, out = run_cli(
             ["correlator", "efp", "--M", "3", "--N", "1", "--n", "1", "--beta", "0"], capsys

@@ -29,13 +29,51 @@ class TestBasis:
         assert sector_basis(3, 0).dim == 1
 
     def test_colex_order_is_bitmask_ascending(self):
-        basis = sector_basis(4, 2)
-        masks = [sum(1 << s for s in c) for c in basis.configurations]
-        assert masks == sorted(masks)
+        # Python-int masks: from M = 63 on they overflow 64 bits, the order does not
+        for M, N in [(4, 2), (80, 1), (40, 2), (70, 2)]:
+            masks = [sum(1 << int(s) for s in c) for c in sector_basis(M, N).configurations]
+            assert masks == sorted(masks) and len(set(masks)) == comb(M + 1, N), (M, N)
+
+    def test_index_is_the_row_number(self):
+        for M, N in [(80, 1), (40, 2), (70, 2), (14, 5), (12, 6), (7, 8), (3, 0)]:
+            basis = sector_basis(M, N)
+            for i, c in enumerate(basis.configurations):
+                assert basis.index(c) == i and basis.index(tuple(int(s) for s in c)) == i, (M, N, i)
+
+    def test_index_rejects_what_is_not_a_row(self):
+        basis = sector_basis(40, 2)
+        for config in [(3, 3), (0, 1), (41, 0), (-1, 0), (5,), (5, 4, 3)]:
+            with pytest.raises(KeyError):
+                basis.index(config)
+
+    def test_configurations_are_read_only(self):
+        configs = sector_basis(6, 3).configurations
+        assert configs.shape == (comb(7, 3), 3) and not configs.flags.writeable
+        with pytest.raises(ValueError):
+            configs[0, 0] = 1
 
     def test_budget(self):
         with pytest.raises(EnumerationBudgetError):
             sector_basis(20, 10)
+
+
+def literal_hamiltonian(M, N):
+    # the hop rule site by site on tuples: a down spin crosses each bond onto an empty site
+    configs = [tuple(int(s) for s in c) for c in sector_basis(M, N).configurations]
+    index = {c: i for i, c in enumerate(configs)}
+    H = np.zeros((len(configs), len(configs)))
+    for c, config in enumerate(configs):
+        occ = set(config)
+        for k in range(M + 1):
+            kp = (k + 1) % (M + 1)
+            for a, b in ((k, kp), (kp, k)):
+                if a in occ and b not in occ:
+                    H[index[tuple(sorted((occ - {a}) | {b}, reverse=True))], c] += -0.5
+    return H
+
+
+def small_sectors(max_M):
+    return [(M, N) for M in range(max_M + 1) for N in range(M + 2)]
 
 
 class TestHamiltonian:
@@ -46,6 +84,12 @@ class TestHamiltonian:
     def test_empty_sector(self):
         H = build_hamiltonian(4, 0)
         assert H.shape == (1, 1) and H[0, 0] == 0.0
+
+    def test_matches_the_literal_hop_rule(self):
+        # beyond M = 63, and near-full sectors, which are built from their holes
+        for M, N in small_sectors(8) + [(80, 1), (40, 2), (300, 300), (60, 59)]:
+            H = build_hamiltonian(M, N)
+            assert np.array_equal(H, literal_hamiltonian(M, N)) and not H.flags.writeable, (M, N)
 
     def test_symmetric(self):
         for M, N in [(5, 2), (6, 3)]:
@@ -108,6 +152,29 @@ class TestOperators:
         basis = sector_basis(4, 2)
         for i, c in enumerate(basis.configurations):
             assert p[i] == (0.0 if 0 in c else 1.0)
+
+    def test_projector_reads_the_sites(self):
+        for M, N in small_sectors(7):
+            configs = sector_basis(M, N).configurations
+            for n in range(M + 2):
+                want = [0.0 if set(range(n)) & set(c.tolist()) else 1.0 for c in configs]
+                assert np.array_equal(projector_empty_sites(M, N, n), want), (M, N, n)
+
+    def test_insertion_adds_the_wall_sites(self):
+        # each source row with sites 0..n-1 empty goes to the row holding them as well
+        for M, N in small_sectors(7):
+            dst = sector_basis(M, N).configurations
+            for n in range(N + 1):
+                src = sector_basis(M, N - n).configurations
+                F = domain_wall_insertion(M, N, n)
+                assert F.shape == (len(dst), len(src))
+                for i, c in enumerate(src):
+                    sites = set(c.tolist())
+                    if sites & set(range(n)):
+                        assert not F[:, i].any(), (M, N, n, i)
+                        continue
+                    (r,) = np.flatnonzero(F[:, i])
+                    assert F[r, i] == 1.0 and set(dst[r].tolist()) == sites | set(range(n)), (M, N, n, i)
 
     def test_insertion_maps_sectors(self):
         F = domain_wall_insertion(5, 3, 2)
@@ -241,6 +308,6 @@ class TestStatesFromTheHamiltonian:
         assert seen == [(6, 2)]
 
     def test_caches_are_bounded(self):
-        caches = (edoracle.sector_basis, edoracle._index_map, edoracle._hamiltonian_cached, edoracle._eigh_cached)
+        caches = (edoracle.sector_basis, edoracle.build_hamiltonian, edoracle._eigh_cached)
         for cache in caches:
             assert cache.cache_info().maxsize is not None
