@@ -66,7 +66,7 @@ def _q_ratio(num: dict[int, int], den: dict[int, int]) -> LaurentPoly:
             if any(c[deg - b + 1:deg + 1]):  # pragma: no cover - would be a bug
                 raise ExactDivisionError(f"generating function failed to divide by 1 - q^{b}")
             deg -= b
-    return LaurentPoly(dict(enumerate(c[:deg + 1])))
+    return LaurentPoly._new(0, c[:deg + 1])
 
 
 def _int_ratio(num, den) -> int:

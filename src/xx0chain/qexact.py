@@ -6,12 +6,22 @@ convolution, binomial and q-binomial determinants, and a fraction-free
 determinant over the Laurent ring.  Identities in this layer are checked as
 coefficient-wise equalities, never by sampling q numerically.
 
-Everything runs on Python integers.  A polynomial is a dense coefficient
-list; products go through one big-integer multiplication (Kronecker
-substitution) and exact division is integer long division that raises on a
-non-integer quotient coefficient or a nonzero remainder.  One Bareiss
-elimination, parameterised by the ring's exact division, gives the
-determinants over the integers, the rationals and the Laurent ring.
+Everything runs on Python integers, and all heavy arithmetic on one packed
+form: a dense coefficient list evaluated at X = 2^(8*nb), read as balanced
+base-X digits (:func:`_pack`, :func:`_unpack`).  Evaluation at X is a ring
+homomorphism, and a polynomial whose coefficients all lie below X/2 in
+absolute value is recovered exactly from its value at X.  So each operation
+picks a width nb that provably bounds its result, does one integer operation
+and unpacks once:
+
+- a product is one big-integer multiplication (Kronecker substitution);
+- exact division is one ``divmod``, widened until the quotient provably
+  multiplies back, and raises on a nonzero remainder;
+- a determinant over the Laurent ring is the integer Bareiss elimination of
+  the packed matrix, at a width from a Hadamard-type bound.
+
+One Bareiss elimination, parameterised by the ring's exact division, gives
+the determinants over the integers and the rationals.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt, prod
 
 from .errors import ExactDivisionError
 
@@ -50,14 +60,37 @@ def exact_half(n: int) -> int:
     return n // 2
 
 
+def _pack(v: list[int], nb: int) -> int:
+    """The coefficient list v (lowest first) evaluated at X = 256**nb.
+
+    Each coefficient becomes one balanced base-X digit, so every |c| must be
+    below X/2; adding X/2 to each makes it an nb-byte unsigned digit.
+    """
+    half = 1 << (8 * nb - 1)
+    digits = b"".join((c + half).to_bytes(nb, "little") for c in v)
+    return int.from_bytes(digits, "little") - int.from_bytes(half.to_bytes(nb, "little") * len(v), "little")
+
+
+def _unpack(x: int, n: int, nb: int) -> list[int]:
+    """The n balanced base-256**nb digits of x, lowest first, each in [-X/2, X/2).
+
+    Inverse of :func:`_pack`; raises OverflowError when x has no n-digit form.
+    """
+    half = 1 << (8 * nb - 1)
+    buf = (x + int.from_bytes(half.to_bytes(nb, "little") * n, "little")).to_bytes(n * nb, "little")
+    return [int.from_bytes(buf[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial in q with integer coefficients.
 
     Stored densely as the lowest exponent and the list of coefficients from
     there up, trimmed so that both ends are nonzero; the zero polynomial is
     (0, []).  Exponents may be negative.  Arithmetic mixes freely with ints.
-    Division exists only as :meth:`exact_div`, which insists on an integer
-    quotient and a zero remainder.
+    Products and exact division run on the packed form of the coefficient
+    lists (see :func:`_pack`).  Division exists only as :meth:`exact_div`,
+    which insists on a quotient with integer coefficients and raises
+    otherwise.
     """
 
     __slots__ = ("_lo", "_v")
@@ -166,22 +199,10 @@ class LaurentPoly:
         a, b = self._v, o._v
         if not a or not b:
             return _ZERO
-        # Kronecker substitution: evaluate both factors at 256**nb, multiply
-        # the two integers and read the product's coefficients back as its
-        # base-256**nb digits.  Every product coefficient is below half in
-        # absolute value, so adding half to each digit keeps it in range.
-        n = len(a) + len(b) - 1
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        nb = bound.bit_length() // 8 + 1
-        half = 1 << (8 * nb - 1)
-        bias = half.to_bytes(nb, "little")
-
-        def pack(v):
-            digits = b"".join((c + half).to_bytes(nb, "little") for c in v)
-            return int.from_bytes(digits, "little") - int.from_bytes(bias * len(v), "little")
-
-        buf = (pack(a) * pack(b) + int.from_bytes(bias * n, "little")).to_bytes(n * nb, "little")
-        v = [int.from_bytes(buf[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
+        # Kronecker substitution: every product coefficient is at most
+        # max|a| * max|b| * min(len a, len b), so one width holds them all.
+        nb = (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length() // 8 + 1
+        v = _unpack(_pack(a, nb) * _pack(b, nb), len(a) + len(b) - 1, nb)
         return LaurentPoly._new(self._lo + o._lo, v)
 
     __rmul__ = __mul__
@@ -225,32 +246,50 @@ class LaurentPoly:
         return total
 
     def exact_div(self, other) -> "LaurentPoly":
-        """Exact division by integer long division.
+        """The quotient c with c * other == self; ExactDivisionError if there is none.
 
-        Raises ExactDivisionError when a quotient coefficient is not an
-        integer or the remainder is nonzero.
+        With a and b the dense coefficient lists of self and other, c has
+        n = len(a) - len(b) + 1 coefficients.  Both are packed at X = 256**nb
+        (nb from max|a| and max|b|) and divided by one ``divmod``:
+
+        - A nonzero remainder raises, at any width: a = b*c would give
+          a(X) = b(X)*c(X).
+        - Otherwise c is the quotient's n balanced digits.  It is accepted
+          when max|c| * max|b| * min(n, len b) + max|a| < X/2: then every
+          coefficient of c*b - a is below X/2 in absolute value and
+          (c*b - a)(X) = 0, so c*b - a is zero.
+        - Otherwise the width doubles and the division is retried, up to a
+          cap.  A true quotient obeys Mignotte's bound
+          max|c| <= 2^(n-1) * ||a||_2, so it passes the acceptance test once
+          8*nb >= n + 1 plus the bit lengths of ||a||_2, max|b| and
+          min(n, len b); a failure at that width raises.
         """
         o = self._coerce(other)
         if o is None or o.is_zero():
             raise ExactDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPoly()
-        num, den = list(self._v), o._v
-        dd = len(den) - 1
-        if len(num) <= dd:
+        a, b = self._v, o._v
+        if not a:
+            return _ZERO
+        n = len(a) - len(b) + 1
+        if n < 1:
             raise ExactDivisionError("quotient would not be polynomial")
-        lead, low = den[-1], den[:-1]
-        quot = [0] * (len(num) - dd)
-        for k in range(len(quot) - 1, -1, -1):
-            c, r = divmod(num[k + dd], lead)
+        ma, mb, m = max(map(abs, a)), max(map(abs, b)), min(n, len(b))
+        norm_bits = (sum(map(operator.mul, a, a)).bit_length() + 1) // 2  # ||a||_2 < 2**norm_bits
+        cap = (n + 1 + norm_bits + mb.bit_length() + m.bit_length() + 7) // 8
+        nb = max(ma, mb).bit_length() // 8 + 1
+        while True:
+            c, r = divmod(_pack(a, nb), _pack(b, nb))
             if r:
-                raise ExactDivisionError("quotient has non-integer coefficients")
-            if c:
-                quot[k] = c
-                num[k:k + dd] = [x - c * d for x, d in zip(num[k:k + dd], low)]
-        if any(num[:dd]):
-            raise ExactDivisionError("inexact polynomial division (nonzero remainder)")
-        return LaurentPoly._new(self._lo - o._lo, quot)
+                raise ExactDivisionError("inexact polynomial division (nonzero remainder)")
+            try:
+                v = _unpack(c, n, nb)
+            except OverflowError:  # more than n digits: not the quotient yet
+                v = None
+            if v is not None and max(map(abs, v)) * mb * m + ma < 1 << (8 * nb - 1):
+                return LaurentPoly._new(self._lo - o._lo, v)
+            if nb >= cap:
+                raise ExactDivisionError("inexact polynomial division (quotient exceeds Mignotte's bound)")
+            nb = min(2 * nb, cap)
 
     # -- serialization ---------------------------------------------------
 
@@ -403,19 +442,42 @@ def _as_laurent_rows(m) -> list[list[LaurentPoly]]:
 
 
 def exact_det(m) -> LaurentPoly:
-    """Exact determinant of a square LaurentPoly matrix (Bareiss elimination).
+    """Exact determinant of a square LaurentPoly matrix, by integer Bareiss.
 
-    Every interior division is exact by construction; :func:`det_by_minors`
-    is the independent test oracle.
+    Each row gives up q^(its lowest exponent), which leaves a polynomial
+    matrix A(q) with det A = q^(-sum of those exponents) * det m.  Evaluation
+    at X = 256**nb is a ring homomorphism, so det(A)(X) = det(A(X)): the
+    entries are packed at one width and eliminated as plain ints, and the
+    result is unpacked once.  The width is rigorous when every coefficient of
+    det A is below X/2 in absolute value, and
+
+        max|coeff| <= ||det A||_2 <= max over |z| = 1 of |det A(z)|
+                   <= prod_i sqrt(sum_j ||a_ij||_1^2)
+
+    (Parseval, then Hadamard's inequality with |a_ij(z)| <= ||a_ij||_1); the
+    same holds over columns, and the smaller bound is taken.  It also bounds
+    every entry's coefficients, so the entries pack at that width.  A zero
+    row or column gives 0.  :func:`det_by_minors` is the independent test
+    oracle.
     """
-    return _bareiss(_as_laurent_rows(m), LaurentPoly.exact_div, _ONE)
+    rows = _as_laurent_rows(m)
+    l1 = [[sum(map(abs, x._v)) for x in r] for r in rows]
+    bound2 = min(prod(sum(t * t for t in r) for r in l1), prod(sum(t * t for t in c) for c in zip(*l1)))
+    if not bound2:
+        return _ZERO
+    nb = isqrt(bound2).bit_length() // 8 + 1  # X/2 > isqrt(bound2) iff X/2 > sqrt(bound2)
+    los = [min(x._lo for x in r if x._v) for r in rows]
+    packed = [[_pack(x._v, nb) << (8 * nb * (x._lo - lo)) if x._v else 0 for x in r] for r, lo in zip(rows, los)]
+    ndigits = 1 + sum(max(x._lo + len(x._v) for x in r if x._v) - 1 - lo for r, lo in zip(rows, los))
+    return LaurentPoly._new(sum(los), _unpack(_bareiss(packed, _int_div, 1), ndigits, nb))
 
 
 def _bareiss(a: list, div, one):
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) in place.
 
     Works over any ring whose elements support *, - and truth testing;
-    div(x, y) is the ring's exact division and one its unit.
+    div(x, y) is the ring's exact division and one its unit.  It runs on the
+    integers (also for :func:`exact_det`'s packed matrices) and the rationals.
     """
     n = len(a)
     if n == 0:

@@ -126,11 +126,14 @@ class TestCount:
         assert json.loads(out)["rows"][0]["value"] == {"0": "1"}
 
 
-# sha256 of stdout, recorded before the exact layer moved to integer arithmetic
+# sha256 of stdout, recorded before the exact layer moved to integer arithmetic;
+# qbinom_det (8,8,8), the widest packed determinant, was recorded before
+# exact_det moved from Laurent-ring Bareiss to packed integers
 PINNED_COUNT_OUTPUTS = {
     "count zq --L 8 --N 8 --P 8": "443e5e1f65f40b4ab82f03013f9c7cc98bb46d57d76b6183697a2676bbf7d24f",
     "count zq_cspp --N 8 --P 10": "324cc98c39745c76e1940a96f67d552d38ba8006a8d424a4a5e55f50ed59523a",
     "count qbinom_det --L 5 --N 5 --P 5": "3fb924728eb711d29b9f1faf4b5ca330445f01266dc592507d44bf903bd4bdf1",
+    "count qbinom_det --L 8 --N 8 --P 8": "cca345692ace8de875bfdac83cd85f3bb3d94a6dc9e2a15edd7b514454136bb7",
     "count macmahon --L 30 --N 30 --P 30": "bb417b38893ca441c8da6eb21d8af507a934e4ddd420d28233aea616a3f1f79f",
 }
 

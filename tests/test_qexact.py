@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xx0chain import qexact
 from xx0chain.errors import ExactDivisionError
 from xx0chain.qexact import (
     IndexTuples,
@@ -40,6 +41,44 @@ def schoolbook_product(a, b):
         for e2, v2 in b.coeffs().items():
             out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
     return LaurentPoly(out)
+
+
+def long_division(a, b):
+    """Integer long division on exponent maps: the oracle for exact_div.
+
+    Takes each quotient coefficient from the top by divmod with the divisor's
+    leading coefficient; raises ExactDivisionError on a non-integer quotient
+    coefficient or a nonzero remainder.
+    """
+    if b.is_zero():
+        raise ExactDivisionError("division by zero polynomial")
+    if a.is_zero():
+        return LaurentPoly()
+    lo_a, lo_b = a.min_exponent(), b.min_exponent()
+    num = [a.coefficient(e) for e in range(lo_a, a.degree() + 1)]
+    den = [b.coefficient(e) for e in range(lo_b, b.degree() + 1)]
+    dd = len(den) - 1
+    if len(num) <= dd:
+        raise ExactDivisionError("quotient would not be polynomial")
+    quot = {}
+    for k in range(len(num) - dd - 1, -1, -1):
+        c, r = divmod(num[k + dd], den[-1])
+        if r:
+            raise ExactDivisionError("quotient has non-integer coefficients")
+        quot[lo_a - lo_b + k] = c
+        for i in range(dd + 1):
+            num[k + i] -= c * den[i]
+    if any(num):
+        raise ExactDivisionError("inexact polynomial division (nonzero remainder)")
+    return LaurentPoly(quot)
+
+
+def outcome(f, *args):
+    """f(*args), or the ExactDivisionError class when it raises one."""
+    try:
+        return f(*args)
+    except ExactDivisionError:
+        return ExactDivisionError
 
 
 laurent_maps = st.dictionaries(st.integers(-6, 6), st.integers(-(10**20), 10**20), max_size=6)
@@ -91,6 +130,78 @@ class TestLaurentPoly:
     def test_exact_div_roundtrip_property(self, da, db):
         a, b = poly(da), poly(db)
         assert (a * b).exact_div(b) == a
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(laurent_maps, laurent_maps.filter(lambda d: any(d.values())), st.lists(st.integers(1, 4), max_size=5))
+    def test_exact_div_matches_long_division_on_products(self, da, db, cyclotomic):
+        # (1 - q^j) factors make quotients whose coefficients outgrow the numerator's
+        a, b = poly(da), poly(db)
+        for j in cyclotomic:
+            b = b * (1 - q**j)
+        got = (a * b).exact_div(b)
+        assert got == long_division(a * b, b) == a
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        laurent_maps,
+        laurent_maps.filter(lambda d: any(d.values())),
+        st.integers(-8, 8),
+        st.integers(-(10**20), 10**20),
+    )
+    def test_exact_div_raises_exactly_when_long_division_does(self, da, db, e, d):
+        a, b = poly(da), poly(db)
+        num = a * b + LaurentPoly.monomial(d, e)
+        assert outcome(num.exact_div, b) == outcome(long_division, num, b)
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (3 + 3 * q, 2 + 2 * q),  # quotient 3/2, zero remainder
+            (2 + 2 * q, 3),  # quotient 2/3 + 2/3 q
+            (1 + q + q**2, 1 + q),  # remainder 1
+            (1 + q, 0),
+            (0, 1 + q),
+            (q**-3 + q**-1, q**-2),  # q^-1 + q
+            ((q**-4 - 2 * q**-1) * (3 - q**-2), 3 - q**-2),
+            ((q**-4 - 2 * q**-1) * (3 - q**-2) + q**-5, 3 - q**-2),
+            (q**2, q**5),  # q^-3: negative exponent, one coefficient
+            (1 + q**2, 1 + q + q**2 + q**3),  # divisor longer than numerator
+        ],
+    )
+    def test_exact_div_explicit_cases(self, num, den):
+        want = outcome(long_division, LaurentPoly() + num, LaurentPoly() + den)
+        assert outcome(LaurentPoly.exact_div, LaurentPoly() + num, den) == want
+
+    def test_exact_div_widens_when_quotient_dwarfs_numerator(self, monkeypatch):
+        # the numerator's interior coefficients are third differences of k^2,
+        # i.e. zero, and its largest is 4e6 at the top; the quotient's reach
+        # 1999^2 ~ 4e6 too, so at the width taken from the numerator (X/2 =
+        # 2^23) the acceptance test max|c| * 3 * 4 + 4e6 < X/2 fails
+        c = LaurentPoly({k: k * k for k in range(2000)})
+        b = (1 - q) ** 3
+        a = c * b
+        unpacks = []
+        real_unpack = qexact._unpack
+
+        def counting_unpack(x, n, nb):
+            unpacks.append(nb)
+            return real_unpack(x, n, nb)
+
+        monkeypatch.setattr(qexact, "_unpack", counting_unpack)
+        assert a.exact_div(b) == c
+        assert len(unpacks) > 1 and unpacks == sorted(unpacks)  # widened, never narrowed
+        with pytest.raises(ExactDivisionError):
+            (a + q**7).exact_div(b)
+
+    def test_exact_div_rejects_a_carried_quotient(self):
+        # (1 + q) times the alternating tent (-1)^k min(k, 2000 - k) has every
+        # coefficient in {-1, 0, 1}, so the first width is one byte; the
+        # quotient (up to 1000) then comes back with carries, which the
+        # acceptance test must reject
+        c = LaurentPoly({k: (-1) ** k * min(k, 2000 - k) for k in range(2001)})
+        a = c * (1 + q)
+        assert max(map(abs, a.coeffs().values())) == 1
+        assert a.exact_div(1 + q) == long_division(a, 1 + q) == c
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(laurent_maps, laurent_maps)
@@ -308,6 +419,45 @@ class TestDeterminants:
     def test_exact_det_singular(self):
         assert exact_det([[q, 1 + q], [q, 1 + q]]) == 0
         assert exact_det_rational([[0, 1], [0, Fraction(1, 2)]]) == 0
+
+    def test_exact_det_rows_with_different_negative_lowest_exponents(self):
+        rng = random.Random(17)
+        for n in (2, 3, 4):
+            for _ in range(8):
+                m = [
+                    [
+                        LaurentPoly({rng.randint(-3, 3) - 2 * i: rng.randint(-9, 9) for _ in range(3)})
+                        for _ in range(n)
+                    ]
+                    for i in range(n)
+                ]
+                assert exact_det(m) == det_by_minors(m)
+
+    def test_exact_det_zero_row_column_and_swapped_pivot(self):
+        zero_row = [[1 + q, q**-2], [0, 0]]
+        zero_col = [[q**-1, 0, 2], [1 + q, 0, q], [3, 0, -q**4]]
+        swap = [[0, q**-1, 1 + q], [2 - q, 0, q**3], [q**2, 1, 0]]
+        for m in (zero_row, zero_col, swap):
+            assert exact_det(m) == det_by_minors(m)
+        assert exact_det(zero_row) == 0 and exact_det(zero_col) == 0
+        assert exact_det(swap) != 0
+
+    def test_exact_det_sizes_zero_and_one(self):
+        assert exact_det([]) == det_by_minors([]) == 1
+        for x in (0, 5, q**-3 - 7 * q**2):
+            assert exact_det([[x]]) == det_by_minors([[x]]) == x
+
+    def test_exact_det_at_its_width_bound(self):
+        # the Sylvester-Hadamard matrix meets the bound prod_i ||row_i||_2
+        # with equality: |det| = 16 = sqrt(4^4)
+        h4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+        assert exact_det(h4) == det_by_minors(h4) == 16
+        shifted = [[x * q**i for x in row] for i, row in enumerate(h4)]
+        assert exact_det(shifted) == 16 * q**6
+        # |det| = 128 = 2^7 is the bound and half of 256, so it needs a
+        # second byte: a width with X/2 = 128 cannot hold +128
+        assert exact_det([[8, 8], [-8, 8]]) == 128
+        assert exact_det([[8, 8], [8, -8]]) == -128
 
     def test_exact_det_row_swap_antisymmetry(self):
         m = [[1 + q, q], [q**2, 1 - q]]
