@@ -1,17 +1,22 @@
-"""Ground-truth engine: dense linear algebra on small chains.
+"""Ground-truth engine: exact diagonalization on small chains.
 
 Each down-spin sector is one array of site rows in colex order (SectorBasis).
 On it the hopping Hamiltonian H, the n-site projector and the n-site down-spin
 insertion map are built by whole-array moves, and every correlator is a
-literal matrix element on H's eigenpairs.  The ground state is H's lowest
-eigenvector, unique by Perron-Frobenius (off-diagonal entries <= 0, connected
-hopping graph), so nothing here shares code with the formulas it checks.
-build_state_vector is the paper's Schur-function form of the Bethe states,
-under test against H; the oracle never calls it.
+literal matrix element on H's eigenpairs.  H commutes with the translation of
+the ring, so its eigenpairs are taken one lattice momentum at a time: dense
+blocks on the plane waves of the translation orbits (Sandvik, AIP Conf. Proc.
+1297 (2010), sec. 4), reached from a sector vector by one FFT along each orbit.
+The ground state is H's lowest eigenvector, unique by Perron-Frobenius
+(off-diagonal entries <= 0, connected hopping graph), so nothing here shares
+code with the formulas it checks.  build_state_vector is the paper's
+Schur-function form of the Bethe states, under test against H; the oracle
+never calls it.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -35,7 +40,7 @@ __all__ = [
 ]
 
 SECTOR_BUDGET = 5000
-ED_CACHE_SIZE = 4  # sectors kept per cache; at SECTOR_BUDGET one H and its eigenvectors take 400 MB
+ED_CACHE_SIZE = 4  # sectors per cache; within SECTOR_BUDGET an H takes <= 200 MB, its momentum blocks <= 20 MB
 
 
 def _colex_rank(M: int, rows: np.ndarray) -> np.ndarray:
@@ -46,6 +51,11 @@ def _colex_rank(M: int, rows: np.ndarray) -> np.ndarray:
     for j in range(N - 1, -1, -1):  # C(s, k) = sum over t < s of C(t, k - 1)
         W[j] = np.minimum(np.cumsum(W[j + 1]) - W[j + 1], SECTOR_BUDGET)
     return W[np.arange(N), rows].sum(axis=1)
+
+
+def _rank_sites(M: int, rows: np.ndarray) -> np.ndarray:
+    """Colex ranks of rows (k, N) of distinct sites in any order."""
+    return _colex_rank(M, -np.sort(-rows, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,29 +114,142 @@ def build_hamiltonian(M: int, N: int) -> np.ndarray:
             site = (configs[:, j] + step) % (M + 1)
             moved = np.where(np.arange(N) == j, site[:, None], configs)
             src = np.flatnonzero((configs != site[:, None]).all(axis=1))
-            H[_colex_rank(M, -np.sort(-moved[src], axis=1)), src] += -0.5
+            H[_rank_sites(M, moved[src]), src] += -0.5
     H.setflags(write=False)
     return H
 
 
+def _translation_orbits(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sector's orbits under the translation T, which moves every site s to s + 1 mod M + 1.
+
+    Returns (table, periods): table[r, l] is the rank of T^l a_r for l = 0..M, where a_r =
+    table[r, 0] is orbit r's representative, and periods[r] is the orbit's length.
+    """
+    L = M + 1
+    if 0 <= L - N < N:  # T commutes with taking complements, which come in reverse colex order
+        table, periods = _translation_orbits(M, L - N)
+        return comb(L, N) - 1 - table, periods
+    configs = sector_basis(M, N).configurations
+    if N == 0:
+        return np.zeros((1, L), dtype=np.intp), np.ones(1, dtype=np.intp)
+    # the colex-least row of an orbit has a down spin on site 0, so it is the least of the
+    # N rotations that move one of the row's own down spins there
+    least = np.min([_rank_sites(M, (configs - configs[:, [j]]) % L) for j in range(N)], axis=0)
+    reps = configs[least == np.arange(len(configs))]
+    moved = (reps[:, None, :] + np.arange(L)[:, None]) % L  # (orbit, l, particle)
+    table = _rank_sites(M, moved.reshape(-1, N)).reshape(len(reps), L)
+    return table, L // (table == table[:, :1]).sum(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Spectrum:
+    """H on one sector, diagonalized one lattice momentum k at a time (read-only arrays).
+
+    table and periods are _translation_orbits(M, N).  Each entry (ks, orbits, Vh) of blocks covers
+    the momenta ks that live on the same orbits, those with k * period = 0 mod M + 1: Vh[i] is the
+    conjugate transpose of the unitary that diagonalizes H_k for k = ks[i] on the plane waves of
+    those orbits.  w holds every energy in the order _coordinates lists eigen-coordinates.  (E0,
+    psi) is the lowest eigenpair, with psi positive and of unit length.
+    """
+
+    table: np.ndarray
+    periods: np.ndarray
+    blocks: tuple
+    w: np.ndarray
+    E0: float
+    psi: np.ndarray
+
+
 @lru_cache(maxsize=ED_CACHE_SIZE)
-def _eigh_cached(M: int, N: int):
-    w, v = np.linalg.eigh(build_hamiltonian(M, N))
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+def _eigh_cached(M: int, N: int) -> _Spectrum:
+    """H's eigenpairs, one momentum block at a time.
+
+    With L = M + 1, the plane wave |a, k> = p_a^(-1/2) sum_{l < p_a} e^(-2 pi i k l / L) T^l |a> of
+    a representative a of period p_a exists when k p_a = 0 mod L.  On those waves H is block
+    diagonal, with H_k[b, a] = sum of H[c, a] e^(2 pi i k t / L) sqrt(p_a / p_b) over the rows c =
+    T^t b that H[:, a] hops to, read off the representatives' columns of H.  The ground state is
+    translation invariant (Perron-Frobenius), so it lies in the k = 0 block.
+    """
+    L = M + 1
+    H = build_hamiltonian(M, N)
+    table, periods = _translation_orbits(M, N)
+    R = len(periods)
+    orbit, shift = np.empty(len(H), dtype=np.intp), np.empty(len(H), dtype=np.intp)
+    orbit[table], shift[table] = np.arange(R)[:, None], np.arange(L)
+    hops = H[:, table[:, 0]]
+    c, a = np.nonzero(hops)
+    b, t = orbit[c], shift[c]
+    amp = hops[c, a] * np.sqrt(periods[a] / periods[b])
+    lives = np.arange(L)[:, None] * periods % L == 0  # (L, R): momentum k lives on orbit r
+    blocks, energies = [], []
+    for on in np.unique(lives, axis=0):
+        ks, orbits = np.flatnonzero((lives == on).all(axis=1)), np.flatnonzero(on)
+        if not len(orbits):
+            continue
+        G, n = len(ks), len(orbits)
+        pos = np.full(R, -1)
+        pos[orbits] = np.arange(n)
+        keep = (pos[a] >= 0) & (pos[b] >= 0)
+        cell = (np.arange(G)[:, None] * n * n + pos[b[keep]] * n + pos[a[keep]]).ravel()
+        hop = (amp[keep] * np.exp(2j * np.pi * (np.outer(ks, t[keep]) % L) / L)).ravel()
+        Hk = np.bincount(cell, hop.real, G * n * n) + 1j * np.bincount(cell, hop.imag, G * n * n)
+        w, V = np.linalg.eigh(Hk.reshape(G, n, n))
+        if ks[0] == 0:  # the k = 0 block holds every orbit
+            v = (V[0, :, 0] / np.sign(V[0, 0, 0])).real  # the phase that makes it positive
+            psi = np.empty(len(H))
+            psi[table] = (v / np.sqrt(periods))[:, None]
+            E0 = float(w[0, 0])
+        blocks.append((ks, orbits, V.conj().swapaxes(1, 2)))
+        energies.append(w.ravel())
+    spectrum = _Spectrum(table, periods, tuple(blocks), np.concatenate(energies), E0, psi)
+    for array in (table, periods, spectrum.w, psi, *(x for block in blocks for x in block)):
+        array.setflags(write=False)
+    return spectrum
+
+
+def _coordinates(spectrum: _Spectrum, x: np.ndarray) -> np.ndarray:
+    """<j|x> for every eigenvector j, in the order of spectrum.w, of a vector x (D,) or batch (D, m).
+
+    <a, k|x> = sqrt(p_a) * ifft along the orbit of x[T^l a], then Vh per momentum block.
+    """
+    X = np.fft.ifft(x[spectrum.table], axis=1) * np.sqrt(spectrum.periods).reshape(-1, *(1,) * x.ndim)
+    parts = []
+    for ks, orbits, Vh in spectrum.blocks:
+        c = np.moveaxis(X[orbits[:, None], ks], 1, 0)  # (G, n[, m])
+        parts.append((Vh @ c.reshape(*c.shape[:2], -1)).reshape(-1, *x.shape[1:]))
+    return np.concatenate(parts)
+
+
+def _real_if_real(beta):
+    beta = complex(beta)
+    return beta if beta.imag else beta.real
+
+
+def _boltzmann_sum(spectrum: _Spectrum, beta, c: np.ndarray) -> complex:
+    """sum_j c_j exp(-beta (w_j - E0)); an overflow comes out inf or NaN for _times_exp to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-beta * (spectrum.w - spectrum.E0)) @ c
+
+
+def _times_exp(value: complex, exponent: complex, beta) -> complex:
+    """value * exp(exponent), or OverflowError beyond double range; never inf or NaN."""
+    try:
+        out = complex(value) * cmath.exp(exponent)
+        if cmath.isfinite(out):
+            return out
+    except OverflowError:
+        pass
+    raise OverflowError(f"oracle value beyond double range at beta = {beta}")
 
 
 def thermal_operator(M: int, N: int, beta) -> np.ndarray:
-    """exp(-beta * H) on the sector, via full eigendecomposition."""
-    w, v = _eigh_cached(M, N)
-    return (v * np.exp(-complex(beta) * w)) @ v.T
-
-
-def _thermal_expectation(M: int, N: int, beta, x: np.ndarray) -> complex:
-    """x^H exp(-beta H) x = sum_j exp(-beta w_j) |v_j^T x|^2 over the real eigenvectors v_j."""
-    w, v = _eigh_cached(M, N)
-    return complex(np.exp(-complex(beta) * w) @ np.abs(v.T @ x) ** 2)
+    """exp(-beta * H) on the sector: Y^H exp(-beta w) Y, where Y holds the eigen-coordinates of the
+    identity; real for real beta.  A dense operator for tests; the oracle never forms it."""
+    spectrum = _eigh_cached(M, N)
+    beta = _real_if_real(beta)
+    Y = _coordinates(spectrum, np.eye(len(spectrum.psi)))
+    out = (Y.conj().T * np.exp(-beta * spectrum.w)) @ Y
+    return out if isinstance(beta, complex) else out.real
 
 
 def build_state_vector(u, M: int, N: int) -> np.ndarray:
@@ -168,15 +291,30 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
     state; 'walker': thermal transition amplitude between the two endpoint
     configurations (endpoints = (mu_left, mu_right)).  The ground state is
     H's lowest eigenvector; both ratios are quadratic in it, so its scale and sign cancel.
+    Each sector's lowest energy E0 is factored out of its Boltzmann weights, so the ferro
+    ratio is sum |c_j|^2 exp(-beta (w_j - E0)) / |psi|^2 over the eigen-coordinates c_j of
+    P psi; a value beyond double range raises OverflowError.  Real beta gives real values.
     """
+    beta = _real_if_real(beta)
     if kind in ("ferro", "domain_wall"):
-        Ng = N if kind == "ferro" else N - n
-        psi = _eigh_cached(M, Ng)[1][:, 0]
-        x = projector_empty_sites(M, N, n) * psi if kind == "ferro" else domain_wall_insertion(M, N, n) @ psi
-        return complex(_thermal_expectation(M, N, beta, x) / _thermal_expectation(M, Ng, beta, psi))
+        ground = _eigh_cached(M, N if kind == "ferro" else N - n)
+        if kind == "ferro":
+            x = projector_empty_sites(M, N, n) * ground.psi
+        else:
+            x = domain_wall_insertion(M, N, n) @ ground.psi
+        spectrum = _eigh_cached(M, N)
+        c2 = abs(_coordinates(spectrum, x)) ** 2
+        ratio = _boltzmann_sum(spectrum, beta, c2) / (ground.psi @ ground.psi)
+        return _times_exp(ratio, -beta * (spectrum.E0 - ground.E0), beta)
     if kind == "walker":
         mu_left, mu_right = endpoints
         basis = sector_basis(M, len(mu_left))
-        w, v = _eigh_cached(M, len(mu_left))
-        return complex((v[basis.index(mu_left)] * np.exp(-complex(beta) * w)) @ v[basis.index(mu_right)])
+        spectrum = _eigh_cached(M, len(mu_left))
+        ends = np.zeros((basis.dim, 2))
+        ends[basis.index(mu_left), 0] = ends[basis.index(mu_right), 1] = 1.0
+        y = _coordinates(spectrum, ends)
+        amplitude = _boltzmann_sum(spectrum, beta, y[:, 0].conj() * y[:, 1])
+        if not isinstance(beta, complex):
+            amplitude = amplitude.real  # H is real
+        return _times_exp(amplitude, -beta * spectrum.E0, beta)
     raise ValueError(f"unknown correlator kind {kind!r}")

@@ -257,9 +257,10 @@ class TestOracleCorrelators:
             oracle_correlator("mystery", 3, 1)
 
     def test_matches_the_literal_matrix_element(self):
-        # the spectral contraction equals x^H exp(-beta H) x with the dense operator
+        # x^H exp(-beta H) x from a dense eigendecomposition of the whole sector
         def expectation(M, N, beta, x):
-            return np.vdot(x, thermal_operator(M, N, beta) @ x)
+            w, v = np.linalg.eigh(build_hamiltonian(M, N))
+            return np.vdot(x, (v * np.exp(-complex(beta) * w)) @ (v.T @ x))
 
         for M, N, n in [(6, 2, 1), (7, 3, 2), (8, 3, 3)]:
             for beta in (0.0, 1.5, 12.0, 0.7 + 0.4j):
@@ -279,11 +280,11 @@ class TestStatesFromTheHamiltonian:
     def test_lowest_eigenvector_is_the_schur_ground_state(self):
         for M in range(1, 10):
             for N in range(1, M + 1):
-                w, v = edoracle._eigh_cached(M, N)
+                spectrum = edoracle._eigh_cached(M, N)
                 gs = ground_state(M, N)
                 psi = bethe_vector(gs)
-                assert abs(np.vdot(v[:, 0], psi)) == pytest.approx(np.linalg.norm(psi), rel=1e-12), (M, N)
-                assert w[0] == pytest.approx(energy(gs), rel=1e-12, abs=1e-12), (M, N)
+                assert abs(np.vdot(spectrum.psi, psi)) == pytest.approx(np.linalg.norm(psi), rel=1e-12), (M, N)
+                assert spectrum.E0 == pytest.approx(energy(gs), rel=1e-12, abs=1e-12), (M, N)
 
     def test_oracle_uses_no_schur_state_and_no_dense_operator(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -311,3 +312,127 @@ class TestStatesFromTheHamiltonian:
         caches = (edoracle.sector_basis, edoracle.build_hamiltonian, edoracle._eigh_cached)
         for cache in caches:
             assert cache.cache_info().maxsize is not None
+
+
+# Every sector with M <= 12 of at most 1000 states, (12,6), and the one-state sectors N = 0 and
+# N = M + 1 on long rings; dense np.linalg.eigh of the whole sector is the reference.
+BLOCK_SECTORS = [(M, N) for M in range(13) for N in range(M + 2) if comb(M + 1, N) <= 1000] + [
+    (12, 6), (300, 0), (300, 301), (80, 1), (80, 80),
+]
+ORACLE_BETAS = (0.0, 3.0, 40.0, 0.7 + 0.4j)
+
+
+@pytest.fixture(scope="module")
+def dense_eigh():
+    cache = {}
+
+    def eigh(M, N):
+        if (M, N) not in cache:
+            cache[(M, N)] = np.linalg.eigh(build_hamiltonian(M, N))
+        return cache[(M, N)]
+
+    return eigh
+
+
+def dense_expectation(eigh, M, N, beta, x):
+    w, v = eigh(M, N)
+    return np.exp(-complex(beta) * w) @ np.abs(v.T @ x) ** 2
+
+
+def oracle_grid():
+    """(kind, M, N, n) over BLOCK_SECTORS with M <= 12: ferro for every n that leaves a state, the
+    domain wall for every n whose ground-state sector is in the grid too."""
+    sectors = {(M, N) for M, N in BLOCK_SECTORS if M <= 12}
+    for M, N in sorted(sectors):
+        yield from (("ferro", M, N, n) for n in range(M + 2 - N))
+        yield from (("domain_wall", M, N, n) for n in range(N + 1) if (M, N - n) in sectors)
+
+
+class TestMomentumBlocks:
+    def test_block_spectra_are_the_dense_spectrum(self, dense_eigh):
+        for M, N in BLOCK_SECTORS:
+            spectrum = edoracle._eigh_cached(M, N)
+            w, v = dense_eigh(M, N)
+            assert np.max(np.abs(np.sort(spectrum.w) - w)) <= 1e-13, (M, N)
+            assert spectrum.E0 == pytest.approx(w[0], abs=1e-13) and np.all(spectrum.psi > 0), (M, N)
+            assert abs(spectrum.psi @ v[:, 0]) == pytest.approx(1.0, abs=1e-12), (M, N)
+
+    def test_orbits_cover_the_sector(self):
+        for M, N in [(11, 6), (11, 5), (5, 3), (3, 2), (13, 7), (12, 0), (12, 13), (4999, 1), (60, 59)]:
+            table, periods = edoracle._translation_orbits(M, N)
+            configs = edoracle.sector_basis(M, N).configurations
+            assert sorted(set(table.ravel().tolist())) == list(range(len(configs))), (M, N)
+            assert periods.sum() == len(configs) and np.all((M + 1) % periods == 0), (M, N)
+            for l in range(M + 1):  # column l is the representatives moved by l sites
+                moved = {tuple(sorted(((c + l) % (M + 1)).tolist())) for c in configs[table[:, 0]]}
+                assert moved == {tuple(sorted(c.tolist())) for c in configs[table[:, l]]}, (M, N, l)
+
+    def test_ferro_and_domain_wall_match_the_dense_reference(self, dense_eigh):
+        for kind, M, N, n in oracle_grid():
+            Ng = N if kind == "ferro" else N - n
+            psi = dense_eigh(M, Ng)[1][:, 0]
+            x = projector_empty_sites(M, N, n) * psi if kind == "ferro" else domain_wall_insertion(M, N, n) @ psi
+            for beta in ORACLE_BETAS:
+                want = dense_expectation(dense_eigh, M, N, beta, x)
+                want /= dense_expectation(dense_eigh, M, Ng, beta, psi)
+                got = oracle_correlator(kind, M, N, n, beta)
+                assert abs(cmath.log(got / want)) <= 1e-12, (kind, M, N, n, beta, got, want)
+                if isinstance(beta, float):
+                    assert got.imag == 0.0, (kind, M, N, n, beta)
+
+    def test_walker_matches_the_dense_reference(self, dense_eigh):
+        rng = np.random.default_rng(18)
+        for M, N in BLOCK_SECTORS:
+            w, v = dense_eigh(M, N)
+            configs = edoracle.sector_basis(M, N).configurations
+            for i, j in rng.integers(len(configs), size=(3, 2)):
+                for beta in ORACLE_BETAS:
+                    want = (v[i] * np.exp(-complex(beta) * w)) @ v[j]
+                    got = oracle_correlator("walker", M, N, beta=beta, endpoints=(configs[i], configs[j]))
+                    assert abs(got - want) <= 1e-12 * abs(cmath.exp(-beta * w[0])), (M, N, i, j, beta)
+                    if isinstance(beta, float):
+                        assert got.imag == 0.0, (M, N, i, j, beta)
+
+    def test_thermal_operator_is_the_dense_exponential(self, dense_eigh):
+        for M, N in [(7, 3), (11, 6), (5, 3), (9, 0), (9, 10)]:
+            w, v = dense_eigh(M, N)
+            for beta in (2.5, 0.7 + 0.4j):
+                want = (v * np.exp(-beta * w)) @ v.T
+                scale = abs(cmath.exp(-beta * w[0]))
+                assert np.max(np.abs(thermal_operator(M, N, beta) - want)) <= 1e-12 * scale, (M, N, beta)
+
+    def test_cold_sector_beyond_the_grid(self):
+        from xx0chain.xx0core import persistence_ferro
+
+        edoracle._eigh_cached.cache_clear()
+        got = oracle_correlator("ferro", 30, 3, 1, 2.0)
+        assert abs(cmath.log(got / persistence_ferro(30, 3, 1, 2.0).value)) <= 1e-10
+
+
+class TestLargeBeta:
+    def test_ferro_keeps_the_ground_state_term(self):
+        # at beta = 800 every excited term is below e^-80: the value is (psi^T P psi)^2 / |psi|^4
+        w, v = np.linalg.eigh(build_hamiltonian(7, 3))
+        psi = v[:, 0]
+        want = (psi @ (projector_empty_sites(7, 3, 2) * psi)) ** 2 / (psi @ psi) ** 2
+        for beta in (200.0, 800.0, 1e6):
+            got = oracle_correlator("ferro", 7, 3, 2, beta)
+            assert abs(got - want) <= 1e-12 and got.imag == 0.0, beta
+        assert want == pytest.approx(0.08973369299589, abs=1e-13)
+
+    def test_values_beyond_double_range_raise(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in [
+                ("domain_wall", 7, 3, 2, 800.0),
+                ("ferro", 7, 3, 2, -800.0),
+                ("walker", 7, 3, 0, 800.0, ((5, 3, 0), (6, 2, 1))),
+                ("walker", 11, 3, 0, 300.0, ((9, 6, 2), (8, 5, 1))),
+            ]:
+                with pytest.raises(OverflowError):
+                    oracle_correlator(*args)
+            # within range, a large factor exp(-beta E0) times a small sum is finite
+            got = oracle_correlator("walker", 11, 3, beta=100.0, endpoints=((9, 6, 2), (8, 5, 1)))
+            assert cmath.isfinite(got) and got.imag == 0.0
