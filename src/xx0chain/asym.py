@@ -25,7 +25,6 @@ __all__ = [
     "ferro_asymptotic",
     "domain_wall_asymptotic",
     "decreasing_regime",
-    "log_a_cspp",
     "log_box_count",
 ]
 
@@ -96,28 +95,26 @@ def phi_n(N: int) -> float:
     return sum(math.lgamma(k) for k in range(1, N + 1)) - 0.5 * N * _LOG_2PI
 
 
+def _phi_pieces(N: int, M: int, beta: float) -> dict[str, float]:
+    """Phi(N, M, beta) as the critical term -(N^2/2) log(beta) and the chain-size/Mehta term."""
+    return {
+        "critical_exponent": -0.5 * N * N * math.log(beta),
+        "phi": N * N * math.log(2.0 * math.pi / (M + 1)) + 3.0 * phi_n(N),
+    }
+
+
 def big_phi(N: int, M: int, beta: float) -> float:
     """N^2 log(2*pi/(M+1)) - (N^2/2) log(beta) + 3*phi_N."""
     if N < 1 or M < 1 or beta <= 0:
         raise ValueError("need N, M >= 1 and beta > 0")
-    return N * N * math.log(2.0 * math.pi / (M + 1)) - 0.5 * N * N * math.log(beta) + 3.0 * phi_n(N)
+    return sum(_phi_pieces(N, M, beta).values())
 
 
 _EXACT_N_LIMIT = 64
 _EXACT_P_LIMIT = 10**4
 
-# The two counts below are cached: every beta of a temperature sweep repeats
-# the same big-integer product, which would otherwise dominate the sweep.
-
-
-@lru_cache(maxsize=256)
-def log_a_cspp(N: int, P: int) -> float:
-    """log of the column-strict count in an N x N x P box.
-
-    log_box_count(N, N, P-N+1): less the staircase, a column-strict array is
-    a plane partition in the N x N x (P-N+1) box (boxcount.a_cspp).
-    """
-    return log_box_count(N, N, P - N + 1)
+# The count below is cached: every beta of a temperature sweep repeats the
+# same big-integer product, which would otherwise dominate the sweep.
 
 
 @lru_cache(maxsize=256)
@@ -163,11 +160,7 @@ def _estimate(M: int, N: int, n: int, beta: float, L: int, P: int) -> Asymptotic
     chain-size/Mehta term."""
     if not 0 < beta < math.inf:  # also rejects NaN
         raise ValueError("need beta > 0 and finite")
-    pieces = {
-        "amplitude": 2.0 * log_box_count(L, N, P),
-        "critical_exponent": -0.5 * N * N * math.log(beta),
-        "phi": N * N * math.log(2.0 * math.pi / (M + 1)) + 3.0 * phi_n(N),
-    }
+    pieces = {"amplitude": 2.0 * log_box_count(L, N, P), **_phi_pieces(N, M, beta)}
     return AsymptoticEstimate(sum(pieces.values()), pieces, (M, N, n, beta))
 
 

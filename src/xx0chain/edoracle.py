@@ -1,12 +1,14 @@
 """Ground-truth engine: exact diagonalization on small chains.
 
 Each down-spin sector is one array of site rows in colex order (SectorBasis).
-On it the hopping Hamiltonian H, the n-site projector and the n-site down-spin
-insertion map are built by whole-array moves, and every correlator is a
-literal matrix element on H's eigenpairs.  H commutes with the translation of
-the ring, so its eigenpairs are taken one lattice momentum at a time: dense
-blocks on the plane waves of the translation orbits (Sandvik, AIP Conf. Proc.
-1297 (2010), sec. 4), reached from a sector vector by one FFT along each orbit.
+On it the hopping Hamiltonian H is one hop list (_hops), the n-site projector
+and the n-site down-spin insertion map are whole-array moves, and every
+correlator is a literal matrix element on H's eigenpairs.  H commutes with the
+translation of the ring, so its eigenpairs are taken one lattice momentum at a
+time: dense blocks on the plane waves of the translation orbits (Sandvik, AIP
+Conf. Proc. 1297 (2010), sec. 4), built from the hops of the orbit
+representatives alone, so no dense H is formed, and reached from a sector
+vector by one FFT along each orbit.
 The ground state is H's lowest eigenvector, unique by Perron-Frobenius
 (off-diagonal entries <= 0, connected hopping graph), so nothing here shares
 code with the formulas it checks.  build_state_vector is the paper's
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 SECTOR_BUDGET = 5000
-ED_CACHE_SIZE = 4  # sectors per cache; within SECTOR_BUDGET an H takes <= 200 MB, its momentum blocks <= 20 MB
+ED_CACHE_SIZE = 4  # sectors per cache; within SECTOR_BUDGET a sector's momentum blocks take <= 20 MB
 
 
 def _colex_rank(M: int, rows: np.ndarray) -> np.ndarray:
@@ -98,23 +100,26 @@ def sector_basis(M: int, N: int) -> SectorBasis:
     return SectorBasis(M, N, configs)
 
 
-@lru_cache(maxsize=ED_CACHE_SIZE)
-def build_hamiltonian(M: int, N: int) -> np.ndarray:
-    """Real symmetric hopping matrix on the N-down-spin sector (read-only).
-
-    One move per particle j and step +-1 round the ring: each row whose target
-    site is empty adds -1/2 at (rank of the re-sorted moved row, its own row).
-    """
+def _hops(M: int, N: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, c): one pair per hop of a down spin +-1 round the ring onto an empty site, from the
+    sector row ranked rows[i] to the row ranked c.  H is -1/2 on each hop."""
     if 0 <= M + 1 - N < N:  # a hop moves a hole the other way; complements come in reverse colex order
-        return build_hamiltonian(M, M + 1 - N)[::-1, ::-1]
-    configs = sector_basis(M, N).configurations
-    H = np.zeros((len(configs), len(configs)))
-    for j in range(N):
-        for step in (1, -1):
-            site = (configs[:, j] + step) % (M + 1)
-            moved = np.where(np.arange(N) == j, site[:, None], configs)
-            src = np.flatnonzero((configs != site[:, None]).all(axis=1))
-            H[_rank_sites(M, moved[src]), src] += -0.5
+        i, c = _hops(M, M + 1 - N, comb(M + 1, N) - 1 - rows)
+        return i, comb(M + 1, N) - 1 - c
+    configs = sector_basis(M, N).configurations[rows]
+    i, j, step = np.indices((len(configs), N, 2)).reshape(3, -1)  # row, particle, step +1 or -1
+    site = (configs[i, j] + 1 - 2 * step) % (M + 1)
+    i, j, site = (x[(configs[i] != site[:, None]).all(axis=1)] for x in (i, j, site))  # onto empty sites
+    moved = np.where(np.arange(N) == j[:, None], site[:, None], configs[i])
+    return i, _rank_sites(M, moved)
+
+
+def build_hamiltonian(M: int, N: int) -> np.ndarray:
+    """Dense real symmetric H on the N-down-spin sector, -1/2 per hop (read-only); for tests."""
+    D = sector_basis(M, N).dim
+    i, c = _hops(M, N, np.arange(D))
+    H = np.zeros((D, D))
+    np.add.at(H, (c, i), -0.5)
     H.setflags(write=False)
     return H
 
@@ -166,20 +171,18 @@ def _eigh_cached(M: int, N: int) -> _Spectrum:
 
     With L = M + 1, the plane wave |a, k> = p_a^(-1/2) sum_{l < p_a} e^(-2 pi i k l / L) T^l |a> of
     a representative a of period p_a exists when k p_a = 0 mod L.  On those waves H is block
-    diagonal, with H_k[b, a] = sum of H[c, a] e^(2 pi i k t / L) sqrt(p_a / p_b) over the rows c =
-    T^t b that H[:, a] hops to, read off the representatives' columns of H.  The ground state is
+    diagonal, with H_k[b, a] = sum of -1/2 e^(2 pi i k t / L) sqrt(p_a / p_b) over the hops from a
+    to the rows c = T^t b, from the hop list of the representatives alone.  The ground state is
     translation invariant (Perron-Frobenius), so it lies in the k = 0 block.
     """
-    L = M + 1
-    H = build_hamiltonian(M, N)
+    L, D = M + 1, comb(M + 1, N)
     table, periods = _translation_orbits(M, N)
     R = len(periods)
-    orbit, shift = np.empty(len(H), dtype=np.intp), np.empty(len(H), dtype=np.intp)
+    orbit, shift = np.empty(D, dtype=np.intp), np.empty(D, dtype=np.intp)
     orbit[table], shift[table] = np.arange(R)[:, None], np.arange(L)
-    hops = H[:, table[:, 0]]
-    c, a = np.nonzero(hops)
+    a, c = _hops(M, N, table[:, 0])
     b, t = orbit[c], shift[c]
-    amp = hops[c, a] * np.sqrt(periods[a] / periods[b])
+    amp = -0.5 * np.sqrt(periods[a] / periods[b])
     lives = np.arange(L)[:, None] * periods % L == 0  # (L, R): momentum k lives on orbit r
     blocks, energies = [], []
     for on in np.unique(lives, axis=0):
@@ -196,7 +199,7 @@ def _eigh_cached(M: int, N: int) -> _Spectrum:
         w, V = np.linalg.eigh(Hk.reshape(G, n, n))
         if ks[0] == 0:  # the k = 0 block holds every orbit
             v = (V[0, :, 0] / np.sign(V[0, 0, 0])).real  # the phase that makes it positive
-            psi = np.empty(len(H))
+            psi = np.empty(D)
             psi[table] = (v / np.sqrt(periods))[:, None]
             E0 = float(w[0, 0])
         blocks.append((ks, orbits, V.conj().swapaxes(1, 2)))
@@ -243,12 +246,15 @@ def _times_exp(value: complex, exponent: complex, beta) -> complex:
 
 
 def thermal_operator(M: int, N: int, beta) -> np.ndarray:
-    """exp(-beta * H) on the sector: Y^H exp(-beta w) Y, where Y holds the eigen-coordinates of the
-    identity; real for real beta.  A dense operator for tests; the oracle never forms it."""
+    """exp(-beta * H) = Y^H exp(-beta (w - E0)) Y exp(-beta E0), Y the eigen-coordinates of the identity;
+    real for real beta, OverflowError beyond double range.  For tests; the oracle never forms it."""
     spectrum = _eigh_cached(M, N)
     beta = _real_if_real(beta)
     Y = _coordinates(spectrum, np.eye(len(spectrum.psi)))
-    out = (Y.conj().T * np.exp(-beta * spectrum.w)) @ Y
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (Y.conj().T * np.exp(-beta * (spectrum.w - spectrum.E0))) @ Y * np.exp(-beta * spectrum.E0)
+    if not np.isfinite(out).all():
+        raise OverflowError(f"thermal operator beyond double range at beta = {beta}")
     return out if isinstance(beta, complex) else out.real
 
 

@@ -10,7 +10,6 @@ from xx0chain.asym import (
     decreasing_regime,
     domain_wall_asymptotic,
     ferro_asymptotic,
-    log_a_cspp,
     log_barnes_g,
     log_box_count,
     mehta_integral,
@@ -148,19 +147,19 @@ class TestEstimates:
         # sides above the exact-N threshold of 64 take the G-ratio branch; the
         # exact integers are still cheap here (measured relative error 2.8e-10,
         # 1.4e-10 and 3.2e-11)
-        assert log_a_cspp(70, 200) == pytest.approx(math.log(a_cspp(70, 200)), rel=1e-9)
+        assert log_box_count(70, 70, 131) == pytest.approx(math.log(a_cspp(70, 200)), rel=1e-9)
         for sides in [(80, 70, 300), (97, 100, 901)]:
             assert log_box_count(*sides) == pytest.approx(math.log(macmahon(*sides)), rel=1e-9)
 
     def test_cached_counts_match_uncached(self):
         # the exact branch (N <= 64), the Barnes branch, and the zero-side shortcuts
-        for args in [(2, 17), (60, 997), (70, 200), (0, 5)]:
-            assert log_a_cspp(*args) == log_a_cspp.__wrapped__(*args)
-            assert log_a_cspp(*args) == log_a_cspp(*args)
+        # (N, N, P - N + 1) for the column-strict counts (N, P) = (2, 17), (60, 997), (70, 200), (0, 5)
+        for args in [(2, 2, 16), (60, 60, 938), (70, 70, 131), (0, 0, 6)]:
+            assert log_box_count(*args) == log_box_count.__wrapped__(*args)
+            assert log_box_count(*args) == log_box_count(*args)
         for args in [(2, 3, 28), (57, 60, 941), (80, 70, 300), (0, 3, 4)]:
             assert log_box_count(*args) == log_box_count.__wrapped__(*args)
             assert log_box_count(*args) == log_box_count(*args)
-        assert log_a_cspp.cache_info().maxsize is not None
         assert log_box_count.cache_info().maxsize is not None
 
     def test_domain_guards(self):

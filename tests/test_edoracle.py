@@ -290,26 +290,16 @@ class TestStatesFromTheHamiltonian:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle must read its states off the eigenpairs")
 
+        edoracle._eigh_cached.cache_clear()  # cold calls build the blocks from the hop list
         monkeypatch.setattr(edoracle, "build_state_vector", forbidden)
         monkeypatch.setattr(edoracle, "thermal_operator", forbidden)
+        monkeypatch.setattr(edoracle, "build_hamiltonian", forbidden)
         for kind in ("ferro", "domain_wall"):
             assert cmath.isfinite(oracle_correlator(kind, 7, 3, 2, 1.5))
         assert cmath.isfinite(oracle_correlator("walker", 7, 3, beta=1.5, endpoints=((5, 3, 0), (6, 2, 1))))
 
-    def test_cold_eigh_builds_through_the_public_hamiltonian(self, monkeypatch):
-        seen = []
-
-        def spy(M, N):
-            seen.append((M, N))
-            return build_hamiltonian(M, N)
-
-        edoracle._eigh_cached.cache_clear()
-        monkeypatch.setattr(edoracle, "build_hamiltonian", spy)
-        edoracle._eigh_cached(6, 2)
-        assert seen == [(6, 2)]
-
     def test_caches_are_bounded(self):
-        caches = (edoracle.sector_basis, edoracle.build_hamiltonian, edoracle._eigh_cached)
+        caches = (edoracle.sector_basis, edoracle._eigh_cached)
         for cache in caches:
             assert cache.cache_info().maxsize is not None
 
@@ -396,9 +386,14 @@ class TestMomentumBlocks:
     def test_thermal_operator_is_the_dense_exponential(self, dense_eigh):
         for M, N in [(7, 3), (11, 6), (5, 3), (9, 0), (9, 10)]:
             w, v = dense_eigh(M, N)
-            for beta in (2.5, 0.7 + 0.4j):
+            for beta in (2.5, 200.0, 0.7 + 0.4j):
+                try:
+                    scale = abs(cmath.exp(-beta * w[0]))
+                except OverflowError:  # (11,6) at beta = 200: exp(-beta E0) = e^773
+                    with pytest.raises(OverflowError):
+                        thermal_operator(M, N, beta)
+                    continue
                 want = (v * np.exp(-beta * w)) @ v.T
-                scale = abs(cmath.exp(-beta * w[0]))
                 assert np.max(np.abs(thermal_operator(M, N, beta) - want)) <= 1e-12 * scale, (M, N, beta)
 
     def test_cold_sector_beyond_the_grid(self):
@@ -407,6 +402,24 @@ class TestMomentumBlocks:
         edoracle._eigh_cached.cache_clear()
         got = oracle_correlator("ferro", 30, 3, 1, 2.0)
         assert abs(cmath.log(got / persistence_ferro(30, 3, 1, 2.0).value)) <= 1e-10
+
+    def test_cold_oracle_forms_no_dense_matrix(self):
+        # a dense H takes 162 MB at (30,3) and 200 MB at (4999,1); the blocks need far less
+        import tracemalloc
+
+        for args, limit_mb in [
+            (("ferro", 30, 3, 1, 2.0), 64),
+            (("walker", 4999, 1, 0, 2.0, ((7,), (4990,))), 16),
+        ]:
+            edoracle.sector_basis.cache_clear()
+            edoracle._eigh_cached.cache_clear()
+            tracemalloc.start()
+            try:
+                oracle_correlator(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit_mb * 2**20, (args, peak)
 
 
 class TestLargeBeta:
@@ -433,6 +446,9 @@ class TestLargeBeta:
             ]:
                 with pytest.raises(OverflowError):
                     oracle_correlator(*args)
+            for beta in (800.0, -800.0):
+                with pytest.raises(OverflowError):
+                    thermal_operator(7, 3, beta)
             # within range, a large factor exp(-beta E0) times a small sum is finite
             got = oracle_correlator("walker", 11, 3, beta=100.0, endpoints=((9, 6, 2), (8, 5, 1)))
             assert cmath.isfinite(got) and got.imag == 0.0
