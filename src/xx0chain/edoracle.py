@@ -2,18 +2,18 @@
 
 Each down-spin sector is one array of site rows in colex order (SectorBasis).
 On it the hopping Hamiltonian H is one hop list (_hops), the n-site projector
-and the n-site down-spin insertion map are whole-array moves, and every
-correlator is a literal matrix element on H's eigenpairs.  H commutes with the
-translation of the ring, so its eigenpairs are taken one lattice momentum at a
-time: dense blocks on the plane waves of the translation orbits (Sandvik, AIP
-Conf. Proc. 1297 (2010), sec. 4), built from the hops of the orbit
-representatives alone, so no dense H is formed, and reached from a sector
-vector by one FFT along each orbit.
-The ground state is H's lowest eigenvector, unique by Perron-Frobenius
-(off-diagonal entries <= 0, connected hopping graph), so nothing here shares
-code with the formulas it checks.  build_state_vector is the paper's
-Schur-function form of the Bethe states, under test against H; the oracle
-never calls it.
+and the n-site down-spin insertion are whole-array moves, and every correlator
+is a literal matrix element on H's eigenpairs.  H commutes with the translation
+of the ring, so its eigenpairs are taken one lattice momentum at a time: dense
+blocks on the plane waves of the translation orbits (Sandvik, AIP Conf. Proc.
+1297 (2010), sec. 4), built from the hops of the orbit representatives alone,
+one eigh for each pair of conjugate momenta, and reached from a sector vector by
+one FFT along each orbit.  A correlator's beta-independent overlaps are kept
+once per chain.  The ground state is H's lowest eigenvector, unique by
+Perron-Frobenius (off-diagonal entries <= 0, connected hopping graph), so
+nothing here shares code with the formulas it checks.  build_state_vector is
+the paper's Schur-function form of the Bethe states, under test against H; the
+oracle never calls it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 SECTOR_BUDGET = 5000
-ED_CACHE_SIZE = 4  # sectors per cache; within SECTOR_BUDGET a sector's momentum blocks take <= 20 MB
+ED_CACHE_SIZE = 4  # sectors or chains per cache; within SECTOR_BUDGET <= 20 MB per sector, 40 kB per chain
 
 
 def _colex_rank(M: int, rows: np.ndarray) -> np.ndarray:
@@ -150,10 +150,11 @@ def _translation_orbits(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
 class _Spectrum:
     """H on one sector, diagonalized one lattice momentum k at a time (read-only arrays).
 
-    table and periods are _translation_orbits(M, N).  Each entry (ks, orbits, Vh) of blocks covers
-    the momenta ks that live on the same orbits, those with k * period = 0 mod M + 1: Vh[i] is the
-    conjugate transpose of the unitary that diagonalizes H_k for k = ks[i] on the plane waves of
-    those orbits.  w holds every energy in the order _coordinates lists eigen-coordinates.  (E0,
+    table and periods are _translation_orbits(M, N), and L = M + 1.  Each entry (ks, orbits, Vh) of
+    blocks covers the momenta ks that live on the same orbits (see _eigh_cached): its k <= L/2
+    ascending, then L - k for those with 2k != 0 mod L.  Vh[i] is the conjugate transpose of the
+    unitary that diagonalizes H_k for k = ks[i] on those orbits' plane waves.  Blocks come by least
+    k, k = 0 first; w holds every energy in the order _coordinates lists eigen-coordinates.  (E0,
     psi) is the lowest eigenpair, with psi positive and of unit length.
     """
 
@@ -170,9 +171,10 @@ def _eigh_cached(M: int, N: int) -> _Spectrum:
     """H's eigenpairs, one momentum block at a time.
 
     With L = M + 1, the plane wave |a, k> = p_a^(-1/2) sum_{l < p_a} e^(-2 pi i k l / L) T^l |a> of
-    a representative a of period p_a exists when k p_a = 0 mod L.  On those waves H is block
-    diagonal, with H_k[b, a] = sum of -1/2 e^(2 pi i k t / L) sqrt(p_a / p_b) over the hops from a
-    to the rows c = T^t b, from the hop list of the representatives alone.  The ground state is
+    a representative a of period p_a exists when k p_a = 0 mod L, that is when L / gcd(k, L) divides
+    p_a.  On those waves H is block diagonal, with H_k[b, a] = sum of -1/2 e^(2 pi i k t / L)
+    sqrt(p_a / p_b) over the hops from a to the rows c = T^t b of the representatives' hop list.
+    The amplitudes are real, so H_(L-k) = conj(H_k) shares H_k's eigh.  The ground state is
     translation invariant (Perron-Frobenius), so it lies in the k = 0 block.
     """
     L, D = M + 1, comb(M + 1, N)
@@ -183,10 +185,12 @@ def _eigh_cached(M: int, N: int) -> _Spectrum:
     a, c = _hops(M, N, table[:, 0])
     b, t = orbit[c], shift[c]
     amp = -0.5 * np.sqrt(periods[a] / periods[b])
-    lives = np.arange(L)[:, None] * periods % L == 0  # (L, R): momentum k lives on orbit r
+    groups = {}  # k <= L/2 by the orbits they live on
+    for k, on in enumerate(periods % (L // np.gcd(np.arange(L // 2 + 1), L))[:, None] == 0):
+        groups.setdefault(on.tobytes(), []).append(k)
     blocks, energies = [], []
-    for on in np.unique(lives, axis=0):
-        ks, orbits = np.flatnonzero((lives == on).all(axis=1)), np.flatnonzero(on)
+    for on, ks in groups.items():
+        ks, orbits = np.array(ks), np.flatnonzero(np.frombuffer(on, dtype=bool))
         if not len(orbits):
             continue
         G, n = len(ks), len(orbits)
@@ -202,8 +206,9 @@ def _eigh_cached(M: int, N: int) -> _Spectrum:
             psi = np.empty(D)
             psi[table] = (v / np.sqrt(periods))[:, None]
             E0 = float(w[0, 0])
-        blocks.append((ks, orbits, V.conj().swapaxes(1, 2)))
-        energies.append(w.ravel())
+        Vh, mirror = V.conj().swapaxes(1, 2), 2 * ks % L != 0  # H_(L-k) = conj(H_k)
+        blocks.append((np.concatenate((ks, L - ks[mirror])), orbits, np.concatenate((Vh, Vh[mirror].conj()))))
+        energies += [w.ravel(), w[mirror].ravel()]
     spectrum = _Spectrum(table, periods, tuple(blocks), np.concatenate(energies), E0, psi)
     for array in (table, periods, spectrum.w, psi, *(x for block in blocks for x in block)):
         array.setflags(write=False)
@@ -274,19 +279,41 @@ def projector_empty_sites(M: int, N: int, n: int) -> np.ndarray:
     return (sector_basis(M, N).configurations >= n).all(axis=1).astype(float)
 
 
-def domain_wall_insertion(M: int, N: int, n: int) -> np.ndarray:
-    """Map from the (N-n)-sector into the N-sector inserting down spins at 0..n-1.
-
-    Configurations already occupied on 0..n-1 are annihilated.
-    """
+def _insertion(M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, rows): the (N-n)-sector rows empty on 0..n-1, and their N-sector ranks with 0..n-1 filled."""
     if not 0 <= n <= N:
         raise ValueError("need 0 <= n <= N")
     src = sector_basis(M, N - n).configurations
-    out = np.zeros((sector_basis(M, N).dim, len(src)))
     keep = np.flatnonzero((src >= n).all(axis=1))
     wall = np.broadcast_to(np.arange(n - 1, -1, -1), (len(keep), n))
-    out[_colex_rank(M, np.concatenate((src[keep], wall), axis=1)), keep] = 1.0
+    return keep, _colex_rank(M, np.concatenate((src[keep], wall), axis=1))
+
+
+def domain_wall_insertion(M: int, N: int, n: int) -> np.ndarray:
+    """Map from the (N-n)-sector into the N-sector inserting down spins at 0..n-1.
+
+    Configurations already occupied on 0..n-1 are annihilated.  A dense view for tests.
+    """
+    keep, rows = _insertion(M, N, n)
+    out = np.zeros((sector_basis(M, N).dim, sector_basis(M, N - n).dim))
+    out[rows, keep] = 1.0
     return out
+
+
+@lru_cache(maxsize=ED_CACHE_SIZE)
+def _overlaps(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, float]:
+    """(|c_j|^2 / |psi|^2, E0 - E0_ground), read-only, with c_j the coordinates on _eigh_cached(M, N).w
+    of P psi (ferro) or psi with 0..n-1 filled (domain wall), psi the N- or (N-n)-sector ground state."""
+    ground = _eigh_cached(M, N if kind == "ferro" else N - n)
+    if kind == "ferro":
+        x = projector_empty_sites(M, N, n) * ground.psi
+    else:
+        keep, rows = _insertion(M, N, n)
+        x = np.bincount(rows, ground.psi[keep], comb(M + 1, N))  # rows are distinct: a scatter
+    spectrum = _eigh_cached(M, N)
+    c2 = abs(_coordinates(spectrum, x)) ** 2 / (ground.psi @ ground.psi)
+    c2.setflags(write=False)
+    return c2, spectrum.E0 - ground.E0
 
 
 def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints=None) -> complex:
@@ -303,15 +330,8 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
     """
     beta = _real_if_real(beta)
     if kind in ("ferro", "domain_wall"):
-        ground = _eigh_cached(M, N if kind == "ferro" else N - n)
-        if kind == "ferro":
-            x = projector_empty_sites(M, N, n) * ground.psi
-        else:
-            x = domain_wall_insertion(M, N, n) @ ground.psi
-        spectrum = _eigh_cached(M, N)
-        c2 = abs(_coordinates(spectrum, x)) ** 2
-        ratio = _boltzmann_sum(spectrum, beta, c2) / (ground.psi @ ground.psi)
-        return _times_exp(ratio, -beta * (spectrum.E0 - ground.E0), beta)
+        c2, gap = _overlaps(kind, M, N, n)
+        return _times_exp(_boltzmann_sum(_eigh_cached(M, N), beta, c2), -beta * gap, beta)
     if kind == "walker":
         mu_left, mu_right = endpoints
         basis = sector_basis(M, len(mu_left))

@@ -1,5 +1,9 @@
 import cmath
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,17 +295,40 @@ class TestStatesFromTheHamiltonian:
             raise AssertionError("the oracle must read its states off the eigenpairs")
 
         edoracle._eigh_cached.cache_clear()  # cold calls build the blocks from the hop list
+        edoracle._overlaps.cache_clear()
         monkeypatch.setattr(edoracle, "build_state_vector", forbidden)
         monkeypatch.setattr(edoracle, "thermal_operator", forbidden)
         monkeypatch.setattr(edoracle, "build_hamiltonian", forbidden)
+        monkeypatch.setattr(edoracle, "domain_wall_insertion", forbidden)
         for kind in ("ferro", "domain_wall"):
             assert cmath.isfinite(oracle_correlator(kind, 7, 3, 2, 1.5))
         assert cmath.isfinite(oracle_correlator("walker", 7, 3, beta=1.5, endpoints=((5, 3, 0), (6, 2, 1))))
 
     def test_caches_are_bounded(self):
-        caches = (edoracle.sector_basis, edoracle._eigh_cached)
+        caches = (edoracle.sector_basis, edoracle._eigh_cached, edoracle._overlaps)
         for cache in caches:
             assert cache.cache_info().maxsize is not None
+        # an overlap entry keeps its beta-independent numbers alone, never a whole spectrum
+        for kind in ("ferro", "domain_wall"):
+            entry = edoracle._overlaps(kind, 7, 3, 2)
+            assert entry is edoracle._overlaps(kind, 7, 3, 2)
+            assert not any(isinstance(x, edoracle._Spectrum) for x in entry), kind
+            c2, gap = entry
+            assert not c2.flags.writeable and isinstance(gap, float), kind
+
+    def test_oracle_imports_no_masked_arrays(self):
+        # plain np.unique imports numpy.ma on first use, some 17 ms inside a timed round
+        code = (
+            "import sys\n"
+            "from xx0chain.edoracle import oracle_correlator\n"
+            "for kind in ('ferro', 'domain_wall'):\n"
+            "    oracle_correlator(kind, 10, 3, 2, 1.0)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        src = str(Path(edoracle.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 # Every sector with M <= 12 of at most 1000 states, (12,6), and the one-state sectors N = 0 and
@@ -357,6 +384,43 @@ class TestMomentumBlocks:
                 moved = {tuple(sorted(((c + l) % (M + 1)).tolist())) for c in configs[table[:, 0]]}
                 assert moved == {tuple(sorted(c.tolist())) for c in configs[table[:, l]]}, (M, N, l)
 
+    def test_blocks_partition_the_momenta(self):
+        # each k holds one block, on the orbits with k * period = 0 mod L, and the blocks fill the sector
+        for M, N in BLOCK_SECTORS:
+            L, spectrum = M + 1, edoracle._eigh_cached(M, N)
+            assert sum(len(ks) * len(orbits) for ks, orbits, _ in spectrum.blocks) == comb(L, N), (M, N)
+            for k in range(L):
+                lives = np.flatnonzero(k * spectrum.periods % L == 0).tolist()
+                holding = [orbits.tolist() for ks, orbits, _ in spectrum.blocks if k in ks]
+                assert holding == ([lives] if lives else []), (M, N, k)
+
+    def test_mirrored_momenta_diagonalize_their_blocks(self, monkeypatch):
+        # eigh runs for k <= L/2 alone; Vh of L - k must diagonalize H_(L-k) on the plane waves of
+        # the literal hop rule, p^(-1/2) sum_l e^(-2 pi i k l / L) T^l |a>
+        eigh, batches = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: batches.append(len(a)) or eigh(a))
+        mirrored = 0
+        for M, N in [(7, 3), (11, 5), (11, 6), (9, 1), (12, 6)]:
+            L, H = M + 1, literal_hamiltonian(M, N)
+            edoracle._eigh_cached.cache_clear()
+            batches.clear()
+            spectrum = edoracle._eigh_cached(M, N)
+            assert sum(batches) == sum(int((ks <= L // 2).sum()) for ks, _, _ in spectrum.blocks), (M, N)
+            start = 0
+            for ks, orbits, Vh in spectrum.blocks:
+                for g, k in enumerate(ks):
+                    w, start = spectrum.w[start : start + len(orbits)], start + len(orbits)
+                    if 2 * k <= L:
+                        continue
+                    B = np.zeros((len(H), len(orbits)), dtype=complex)
+                    for j, r in enumerate(orbits):
+                        l = np.arange(spectrum.periods[r])
+                        B[spectrum.table[r, l], j] = np.exp(-2j * np.pi * k * l / L) / np.sqrt(len(l))
+                    Hk = B.conj().T @ H @ B
+                    assert np.max(np.abs(Vh[g] @ Hk @ Vh[g].conj().T - np.diag(w))) <= 1e-13, (M, N, k)
+                    mirrored += 1
+        assert mirrored > 0
+
     def test_ferro_and_domain_wall_match_the_dense_reference(self, dense_eigh):
         for kind, M, N, n in oracle_grid():
             Ng = N if kind == "ferro" else N - n
@@ -400,26 +464,38 @@ class TestMomentumBlocks:
         from xx0chain.xx0core import persistence_ferro
 
         edoracle._eigh_cached.cache_clear()
+        edoracle._overlaps.cache_clear()
         got = oracle_correlator("ferro", 30, 3, 1, 2.0)
         assert abs(cmath.log(got / persistence_ferro(30, 3, 1, 2.0).value)) <= 1e-10
 
     def test_cold_oracle_forms_no_dense_matrix(self):
         # a dense H takes 162 MB at (30,3) and 200 MB at (4999,1); the blocks need far less
-        import tracemalloc
-
         for args, limit_mb in [
             (("ferro", 30, 3, 1, 2.0), 64),
             (("walker", 4999, 1, 0, 2.0, ((7,), (4990,))), 16),
         ]:
             edoracle.sector_basis.cache_clear()
             edoracle._eigh_cached.cache_clear()
-            tracemalloc.start()
-            try:
-                oracle_correlator(*args)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            edoracle._overlaps.cache_clear()
+            peak = self._traced_peak(args)
             assert peak < limit_mb * 2**20, (args, peak)
+        # with both spectra warm, psi is scattered into the sector: a dense insertion map takes 16 MB
+        args = ("domain_wall", 30, 3, 1, 2.0)
+        oracle_correlator(*args)
+        edoracle._overlaps.cache_clear()
+        peak = self._traced_peak(args)
+        assert peak < 4 * 2**20, (args, peak)
+
+    @staticmethod
+    def _traced_peak(args):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            oracle_correlator(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 class TestLargeBeta:
