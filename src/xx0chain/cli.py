@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=_parse_int_list, default=[0])
     pc.add_argument("--beta", type=_parse_float_list, default=[1.0])
     pc.add_argument("--method", choices=("determinant", "spectral_sum"), default="determinant")
-    pc.add_argument("--budget", type=int, default=10**6, help="spectral-sum state budget")
+    pc.add_argument("--budget", type=int, default=xx0core.SPECTRAL_BUDGET, help="spectral-sum state budget")
     common(pc)
     pc.set_defaults(func=cmd_correlator)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetError
 from .schur import schur_jacobi_trudi
-from .xx0core import ChainParams
+from .xx0core import ChainParams, _check_correlator
 
 __all__ = [
     "SectorBasis",
@@ -327,9 +327,11 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
     Each sector's lowest energy E0 is factored out of its Boltzmann weights, so the ferro
     ratio is sum |c_j|^2 exp(-beta (w_j - E0)) / |psi|^2 over the eigen-coordinates c_j of
     P psi; a value beyond double range raises OverflowError.  Real beta gives real values.
+    The chain and n are checked as persistence_ferro and persistence_domain_wall check them.
     """
     beta = _real_if_real(beta)
     if kind in ("ferro", "domain_wall"):
+        _check_correlator(kind, M, N, n)
         c2, gap = _overlaps(kind, M, N, n)
         return _times_exp(_boltzmann_sum(_eigh_cached(M, N), beta, c2), -beta * gap, beta)
     if kind == "walker":

@@ -20,8 +20,8 @@ and unpacks once:
 - a determinant over the Laurent ring is the integer Bareiss elimination of
   the packed matrix, at a width from a Hadamard-type bound.
 
-One Bareiss elimination, parameterised by the ring's exact division, gives
-the determinants over the integers and the rationals.
+One integer Bareiss elimination gives every determinant: over Z, over the
+Laurent ring on the packed matrix, and over Q with rationals cleared to integers.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, prod
+from math import comb, isqrt, lcm, prod
 
 from .errors import ExactDivisionError
 
@@ -410,7 +410,7 @@ def binomial_determinant(t: IndexTuples) -> int:
     """det( C(a_j, b_i) ) as an exact integer."""
     n = t.size
     rows = [[comb(t.a[j], t.b[i]) for j in range(n)] for i in range(n)]
-    return _bareiss(rows, _int_div, 1)
+    return _bareiss(rows)
 
 
 def q_binomial_determinant(t: IndexTuples) -> LaurentPoly:
@@ -469,21 +469,20 @@ def exact_det(m) -> LaurentPoly:
     los = [min(x._lo for x in r if x._v) for r in rows]
     packed = [[_pack(x._v, nb) << (8 * nb * (x._lo - lo)) if x._v else 0 for x in r] for r, lo in zip(rows, los)]
     ndigits = 1 + sum(max(x._lo + len(x._v) for x in r if x._v) - 1 - lo for r, lo in zip(rows, los))
-    return LaurentPoly._new(sum(los), _unpack(_bareiss(packed, _int_div, 1), ndigits, nb))
+    return LaurentPoly._new(sum(los), _unpack(_bareiss(packed), ndigits, nb))
 
 
-def _bareiss(a: list, div, one):
-    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) in place.
+def _bareiss(a: list[list[int]]) -> int:
+    """Integer determinant by fraction-free elimination (Bareiss, Math. Comp. 22, 1968), in place.
 
-    Works over any ring whose elements support *, - and truth testing;
-    div(x, y) is the ring's exact division and one its unit.  It runs on the
-    integers (also for :func:`exact_det`'s packed matrices) and the rationals.
+    Every division is exact in exact arithmetic; each one is checked, and a
+    nonzero remainder raises ExactDivisionError.
     """
     n = len(a)
     if n == 0:
-        return one
+        return 1
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
@@ -492,19 +491,14 @@ def _bareiss(a: list, div, one):
                     sign = -sign
                     break
             else:
-                return a[k][k]
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+                a[i][j], rem = divmod(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+                if rem:
+                    raise ExactDivisionError("integer Bareiss division not exact")
         prev = a[k][k]
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
-
-
-def _int_div(x: int, y: int) -> int:
-    quot, rem = divmod(x, y)
-    if rem:
-        raise ExactDivisionError("integer Bareiss division not exact")
-    return quot
 
 
 def det_by_minors(m) -> LaurentPoly:
@@ -530,8 +524,11 @@ def det_by_minors(m) -> LaurentPoly:
 
 
 def exact_det_rational(rows) -> Fraction:
-    """Exact determinant of an int/Fraction matrix (Bareiss over Q)."""
+    """Exact determinant of an int/Fraction matrix: integer Bareiss on the rows
+    cleared by the lcm of their denominators, divided by the product of those lcms."""
     a = [[Fraction(x) for x in r] for r in rows]
     if any(len(r) != len(a) for r in a):
         raise ValueError("matrix must be square")
-    return _bareiss(a, operator.truediv, Fraction(1))
+    scales = [lcm(*(x.denominator for x in r)) for r in a]
+    ints = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(a, scales)]
+    return Fraction(_bareiss(ints), prod(scales))

@@ -3,16 +3,19 @@ Cauchy-type kernels.
 
 Two tracks share one code path: a numeric track (complex coordinates,
 numpy determinants) and an exact track (int/Fraction or LaurentPoly
-coordinates, fraction-free determinants).  The dual Jacobi-Trudi
-determinant is the default Schur evaluation; the bialternant ratio is a
-cross-check that refuses coincident coordinates, and the tableau sum is a
-test-only oracle.
+coordinates, fraction-free determinants).  The ring rule: _quotient makes
+every division, exactly on exact coordinates (exact_div on LaurentPoly, a
+Fraction or whole int on int/Fraction), so exact inputs give exact values.
+The dual Jacobi-Trudi determinant is the default Schur evaluation; the
+bialternant ratio is a cross-check that refuses coincident coordinates, and
+the tableau sum is a test-only oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
 import numpy as np
 
@@ -69,23 +72,26 @@ def elementary_symmetric(r: int, coords):
 
 def vandermonde(coords):
     """prod_{m<l} (x_m - x_l), i.e. det of the decreasing-power moment matrix."""
-    coords = tuple(coords)
-    out = 1
-    for m in range(len(coords)):
-        for l in range(m + 1, len(coords)):
-            out = out * (coords[m] - coords[l])
-    return out
+    return prod(a - b for a, b in combinations(coords, 2))
+
+
+def _quotient(num, den, track: str):
+    """num / den in the track's ring; exact tracks raise on an inexact quotient."""
+    if track == _LAURENT:
+        return (num if isinstance(num, LaurentPoly) else LaurentPoly.const(num)).exact_div(den)
+    if track == _RATIONAL:
+        out = Fraction(num, den)
+        return int(out) if out.denominator == 1 else out
+    return num / den
 
 
 def _det_auto(rows, track: str):
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return 1
     if track == _LAURENT:
         return qexact.exact_det(rows)
     if track == _RATIONAL:
-        d = qexact.exact_det_rational(rows)
-        return int(d) if d.denominator == 1 else d
+        return _quotient(qexact.exact_det_rational(rows), 1, track)
     return complex(np.linalg.det(np.asarray(rows, dtype=complex)))
 
 
@@ -117,23 +123,15 @@ def schur_jacobi_trudi(lam, coords):
 
 
 def _check_distinct(coords, track: str = _NUMERIC):
-    n = len(coords)
-    if track == _NUMERIC:
-        xs = [complex(x) for x in coords]
-        scale = max((abs(x) for x in xs), default=0.0) or 1.0
-        for m in range(n):
-            for l in range(m + 1, n):
-                if abs(xs[m] - xs[l]) <= 1e-10 * scale:
-                    raise DegenerateInputError(
-                        "coincident coordinates; use schur_jacobi_trudi or a brute-force sum instead"
-                    )
-    else:
-        for m in range(n):
-            for l in range(m + 1, n):
-                if coords[m] == coords[l]:
-                    raise DegenerateInputError(
-                        "coincident coordinates; use schur_jacobi_trudi or a brute-force sum instead"
-                    )
+    exact = track != _NUMERIC
+    if not exact:
+        coords = [complex(x) for x in coords]
+        tol = 1e-10 * (max(map(abs, coords), default=0.0) or 1.0)
+    for a, b in combinations(coords, 2):
+        if a == b if exact else abs(a - b) <= tol:
+            raise DegenerateInputError(
+                "coincident coordinates; use schur_jacobi_trudi or a brute-force sum instead"
+            )
 
 
 def schur_bialternant(lam, coords):
@@ -148,15 +146,7 @@ def schur_bialternant(lam, coords):
     padded = tuple(lam) + (0,) * (n - len(lam))
     num_rows = [[coords[j] ** (padded[k] + n - 1 - k) for k in range(n)] for j in range(n)]
     den_rows = [[coords[j] ** (n - 1 - k) for k in range(n)] for j in range(n)]
-    num = _det_auto(num_rows, track)
-    den = _det_auto(den_rows, track)
-    if track == _LAURENT:
-        num = num if isinstance(num, LaurentPoly) else LaurentPoly.const(num)
-        return num.exact_div(den)
-    if track == _RATIONAL:
-        out = Fraction(num) / Fraction(den)
-        return int(out) if out.denominator == 1 else out
-    return num / den
+    return _quotient(_det_auto(num_rows, track), _det_auto(den_rows, track), track)
 
 
 def schur_ssyt_oracle(lam, coords, max_weight: int = 12, max_vars: int = 6):
@@ -209,19 +199,11 @@ def kernel_entry(z, exponent: int):
 
     Numeric track: the closed form away from z = 1, the explicit geometric
     sum near it (the closed form loses precision there); exact track: the
-    geometric sum always.
+    closed form, divided exactly.
     """
-    if isinstance(z, (LaurentPoly, Fraction, int)):
-        if z == 1:
-            return exponent
-        if isinstance(z, LaurentPoly):
-            out = LaurentPoly.const(0)
-            p = LaurentPoly.const(1)
-            for _ in range(exponent):
-                out = out + p
-                p = p * z
-            return out
-        return (1 - z**exponent) / (1 - z)
+    track = _classify((z,))
+    if track != _NUMERIC:
+        return exponent if z == 1 else _quotient(1 - z**exponent, 1 - z, track)
     zc = complex(z)
     if abs(zc - 1.0) > 1e-8:
         return (1.0 - zc**exponent) / (1.0 - zc)
@@ -239,32 +221,28 @@ def binet_cauchy_kernel(L: int, n: int, y, x):
     Equals sum over partitions with N parts in [n, L] of S(y) * S(x); the
     matrix entries are geometric kernels in x_k * y_j with exponent
     N + L - n, and the prefactor is prod (x_l y_l)^n over the Vandermondes.
+    With n = 0, x may be shorter than y = (y_0..y_{N-1}): rows k >= len(x)
+    are the monomials y_j^(N-1-k), and the value is prod x_l^(N - len x)
+    times the L x len(x) box sum of padded_schur_sum_bruteforce.
     """
     x = tuple(x)
     y = tuple(y)
-    if len(x) != len(y):
-        raise ValueError("coordinate tuples must have equal length")
+    if len(x) > len(y) or (n and len(x) != len(y)):
+        raise ValueError("coordinate tuples must have equal length, or len(x) < len(y) with n = 0")
     if not 0 <= n <= L:
         raise ValueError("need 0 <= n <= L")
-    N = len(x)
+    N = len(y)
     if N == 0:
         return 1
     track = _classify(x + y)
     _check_distinct(x, track)
     _check_distinct(y, track)
     m = N + L - n
-    rows = [[kernel_entry(x[k] * y[j], m) for j in range(N)] for k in range(N)]
+    rows = [[kernel_entry(x[k] * y[j], m) for j in range(N)] for k in range(len(x))]
+    rows += [[y[j] ** (N - 1 - k) for j in range(N)] for k in range(len(x), N)]
     det = _det_auto(rows, track)
-    pref = 1
-    for xl, yl in zip(x, y):
-        pref = pref * (xl * yl) ** n
-    vy = vandermonde(y)
-    vx = vandermonde(x)
-    if track == _LAURENT:
-        det = det if isinstance(det, LaurentPoly) else LaurentPoly.const(det)
-        out = det.exact_div(vy * vx)
-        return pref * out
-    return pref * det / (vy * vx)
+    pref = prod((xl * yl) ** n for xl, yl in zip(x, y))
+    return _quotient(pref * det, vandermonde(y) * vandermonde(x), track)
 
 
 def _box_sum_budget(max_part: int, length: int, max_terms: int):

@@ -46,7 +46,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import EnumerationBudgetError
-from .schur import _check_distinct, binet_cauchy_kernel, kernel_entry, vandermonde
+from .schur import _check_distinct, binet_cauchy_kernel
 
 __all__ = [
     "ChainParams",
@@ -197,29 +197,21 @@ def efp_formfactor(state: BetheState, n: int) -> float:
 def domain_wall_formfactor(v, u, n: int, M: int) -> complex:
     """Transition element that inserts n adjacent down spins.
 
-    v carries N parameters, u carries N-n.  The matrix stacks N-n rows of
-    geometric kernels in u_k^2/v_j^2 (exponent M+1) over n monomial rows
-    v_j^(-2(N-k)); the determinant is divided by both Vandermondes.
+    v carries N <= M+1 parameters, u carries N-n.  The Cauchy-Binet kernel
+    schur.binet_cauchy_kernel(M+1-N, 0, v^-2, u^2) in its two-block shape:
+    N-n rows of geometric kernels in u_k^2/v_j^2 (exponent M+1) over n
+    monomial rows v_j^(-2r), r = n-1, ..., 0, divided by both Vandermondes.
+    N > M+1 raises: there are then no M+1-N box columns to sum over.
     """
     v = tuple(v)
     u = tuple(u)
     N = len(v)
     if not 0 <= n <= N or len(u) != N - n:
         raise ValueError("need len(v) = N and len(u) = N - n")
-    if N == 0:
-        return 1.0 + 0.0j
+    ChainParams(M, N)
     u2 = [complex(x) ** 2 for x in u]
     vm2 = [complex(x) ** (-2) for x in v]
-    _check_distinct(u2)
-    _check_distinct(vm2)
-    rows = []
-    for k in range(1, N - n + 1):
-        rows.append([kernel_entry(u2[k - 1] * vm2[j - 1], M + 1) for j in range(1, N + 1)])
-    for k in range(N - n + 1, N + 1):
-        rows.append([vm2[j - 1] ** (N - k) for j in range(1, N + 1)])
-    det = complex(np.linalg.det(np.array(rows, dtype=complex)))
-    vu = vandermonde(u2) if u2 else 1.0
-    return det / (vu * vandermonde(vm2))
+    return complex(binet_cauchy_kernel(M + 1 - N, 0, vm2, u2))
 
 
 # -- walker amplitudes --------------------------------------------------
@@ -427,7 +419,17 @@ def _spectral_log_value(kind: str, M: int, N: int, n: int, beta) -> complex:
     return cmath.log(complex(np.sum(np.exp(a - shift)))) + shift - (N + Ng) * math.log(M + 1)
 
 
+def _check_correlator(kind: str, M: int, N: int, n: int) -> None:
+    """The chain and the range of n that each correlator kind accepts."""
+    ChainParams(M, N)
+    if kind == "ferro" and not 0 <= n <= M + 1:
+        raise ValueError("need 0 <= n <= M+1")
+    if kind == "domain_wall" and not 0 <= n <= N:
+        raise ValueError("need 0 <= n <= N")
+
+
 def _persistence(kind: str, M: int, N: int, n: int, beta, method: str, max_states: int) -> CorrelatorResult:
+    _check_correlator(kind, M, N, n)
     if method not in ("determinant", "spectral_sum"):
         raise ValueError(f"unknown method {method!r}")
     warnings: list[str] = []
@@ -463,9 +465,6 @@ def persistence_ferro(
     momenta, the Bethe states.  Both work in log space, so log_abs stays
     finite where the value over- or underflows.  The value is 1 at n = 0.
     """
-    ChainParams(M, N)
-    if not 0 <= n <= M + 1:
-        raise ValueError("need 0 <= n <= M+1")
     return _persistence("ferro", M, N, n, beta, method, max_states)
 
 
@@ -478,7 +477,4 @@ def persistence_domain_wall(
     n plane-wave rows; the two paths are det(C W C^H) and its Cauchy-Binet
     expansion, as for persistence_ferro.  The value is 1 at n = 0.
     """
-    ChainParams(M, N)
-    if not 0 <= n <= N:
-        raise ValueError("need 0 <= n <= N")
     return _persistence("domain_wall", M, N, n, beta, method, max_states)

@@ -25,6 +25,11 @@ class TestCorrelator:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 6
 
+    def test_budget_defaults_to_the_spectral_budget(self, monkeypatch):
+        monkeypatch.setattr(xx0core, "SPECTRAL_BUDGET", 17)
+        fresh = cli._build_parser.__wrapped__()  # the cached parser read the constant when first built
+        assert fresh.parse_args(["correlator", "ferro"]).budget == 17
+
     def test_n_zero_rows_are_one(self, capsys):
         rc, out = run_cli(
             ["correlator", "ferro", "--M", "6", "--N", "2", "--n", "0", "--beta", "0,0.5,1"],

@@ -19,7 +19,14 @@ from xx0chain.edoracle import (
     thermal_operator,
 )
 from xx0chain.errors import EnumerationBudgetError
-from xx0chain.xx0core import energy, enumerate_bethe_states, ground_state, norm_squared
+from xx0chain.xx0core import (
+    energy,
+    enumerate_bethe_states,
+    ground_state,
+    norm_squared,
+    persistence_domain_wall,
+    persistence_ferro,
+)
 
 
 def bethe_vector(state):
@@ -259,6 +266,23 @@ class TestOracleCorrelators:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             oracle_correlator("mystery", 3, 1)
+
+    def test_accepts_the_range_of_n_that_persistence_accepts(self):
+        def outcome(f):
+            try:
+                return complex(f())
+            except ValueError as exc:
+                return str(exc)
+
+        for kind, persistence in (("ferro", persistence_ferro), ("domain_wall", persistence_domain_wall)):
+            for M, N in [(7, 3), (3, 4), (4, 0)]:
+                for n in sorted({-1, 0, N, N + 1, M + 1, M + 2}):
+                    got = outcome(lambda: oracle_correlator(kind, M, N, n, 1.0))
+                    want = outcome(lambda: persistence(M, N, n, 1.0).value)
+                    if isinstance(want, str):
+                        assert got == want, (kind, M, N, n)
+                    else:
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (kind, M, N, n)
 
     def test_matches_the_literal_matrix_element(self):
         # x^H exp(-beta H) x from a dense eigendecomposition of the whole sector

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from xx0chain.schur import (
     binet_cauchy_bruteforce,
     binet_cauchy_kernel,
     elementary_symmetric,
+    kernel_entry,
     padded_schur_sum_bruteforce,
     schur_bialternant,
     schur_jacobi_trudi,
@@ -160,6 +164,26 @@ class TestBinetCauchy:
         assert abs(val.imag) <= 1e-9
         assert val.real >= 0
 
+    def test_two_block_shape_is_the_padded_sum(self):
+        # n = 0 and len(x) = N - n < len(y) = N: the kernel rows sit over n monomial rows
+        rng = np.random.default_rng(41)
+        for N in range(0, 5):
+            for n in range(0, N + 1):
+                for K in range(0, 4):
+                    v, u = random_points(rng, N), random_points(rng, N - n)
+                    got = binet_cauchy_kernel(K, 0, [x**-2 for x in v], [x * x for x in u])
+                    want = np.prod([x ** (2 * n) for x in u]) * padded_schur_sum_bruteforce(K, n, v, u)
+                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (N, n, K)
+                    v, u = q_points(N), q_points(N - n, start=2)
+                    got = binet_cauchy_kernel(K, 0, [x**-2 for x in v], [x * x for x in u])
+                    assert got == prod(x * x for x in u) ** n * padded_schur_sum_bruteforce(K, n, v, u), (N, n, K)
+
+    def test_two_block_shape_rejections(self):
+        with pytest.raises(ValueError):
+            binet_cauchy_kernel(2, 0, (0.5,), (0.7, 0.9))  # len(x) > len(y)
+        with pytest.raises(ValueError):
+            binet_cauchy_kernel(2, 1, (0.5, 0.6), (0.7,))  # n > 0 needs equal lengths
+
     def test_kernel_rejects_coincident(self):
         with pytest.raises(DegenerateInputError):
             binet_cauchy_kernel(2, 0, (1.0, 1.0), (0.5, 0.7))
@@ -179,6 +203,39 @@ class TestBinetCauchy:
     def test_budget(self):
         with pytest.raises(EnumerationBudgetError):
             binet_cauchy_bruteforce(10**4, 0, (1.0, 2.0), (3.0, 4.0), max_terms=100)
+
+
+class TestExactRings:
+    """Exact coordinates give exact values: never a float or a complex."""
+
+    TRACKS = [
+        ((2, 3, 5), (7, -1, 4)),
+        ((Fraction(1, 2), Fraction(2, 3), 4), (Fraction(-3, 5), 2, Fraction(7, 4))),
+        (q_points(3), (q, 2, q**-1)),
+    ]
+
+    def test_pinned_values(self):
+        # both came out as inexact floats when ints were divided with /
+        assert kernel_entry(35, 30) == (1 - 35**30) // (1 - 35)
+        assert binet_cauchy_kernel(12, 0, (2, 3), (5, 7)) == 9902075496088500907512122347
+
+    def test_every_evaluator_stays_exact(self):
+        exact = (int, Fraction, LaurentPoly)
+        for x, y in self.TRACKS:
+            for z in x + y + (1,):
+                for m in range(0, 5):
+                    assert isinstance(kernel_entry(z, m), exact), (z, m)
+            for L in range(0, 3):
+                for n in range(0, L + 1):
+                    kern = binet_cauchy_kernel(L, n, y, x)
+                    assert isinstance(kern, exact) and kern == binet_cauchy_bruteforce(L, n, y, x), (L, n)
+                for k in range(0, len(x)):
+                    assert isinstance(binet_cauchy_kernel(L, 0, y, x[:k]), exact), (L, k)
+            for lam in [(), (1,), (2, 1), (3, 1, 1)]:
+                for pts in (x, y):
+                    jt = schur_jacobi_trudi(lam, pts)
+                    ba = schur_bialternant(lam, pts)
+                    assert isinstance(jt, exact) and isinstance(ba, exact) and jt == ba, (lam, pts)
 
 
 class TestPaddedSchurSum:

@@ -126,6 +126,11 @@ class TestNormsAndOverlaps:
         with pytest.raises(DegenerateInputError):
             domain_wall_formfactor((0.5, 0.7, 0.9), (1.0, -1.0), 1, 5)
 
+    def test_domain_wall_beyond_capacity_rejected(self):
+        # N > M+1: the ring cannot hold N down spins, and no box is left to sum over
+        with pytest.raises(ValueError, match=r"need 0 <= N <= M\+1"):
+            domain_wall_formfactor((1.1, 1.2j, 0.9, -1.05), (0.8, 1.3), 2, 2)
+
     def test_scalar_product_beyond_capacity_is_zero(self):
         # N > M+1: the kernel matrix has rank at most M+1; coincident points still fail
         assert scalar_product((0.9, 1.1, 1.3), (0.5, 0.7, 0.8), 1) == 0
