@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import isqrt, prod
 
 from .errors import ExactDivisionError
-from .qexact import IndexTuples, LaurentPoly, exact_det, exact_half, q_binomial_determinant
+from .qexact import IndexTuples, LaurentPoly, _q_ratio, exact_det, exact_half, q_binomial_determinant
 from .schur import vandermonde
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "zq_cspp",
     "a_cspp",
     "kuperberg_matrix",
+    "staircase_qbinom_det",
     "BoxDetIdentityReport",
     "box_det_identity",
     "q_power_points",
@@ -46,27 +47,6 @@ def _cspp_height(N: int, P: int) -> int:
     if N < 0 or P < N - 1:
         raise ValueError(f"need N >= 0 and P >= N-1 for column-strict arrays, got N={N}, P={P}")
     return P - N + 1
-
-
-def _q_ratio(num: dict[int, int], den: dict[int, int]) -> LaurentPoly:
-    """prod (1 - q^a)^m / prod (1 - q^b)^m over {exponent: multiplicity} maps,
-    on one integer list: 1 - q^a multiplies by shift-and-subtract, 1 - q^b
-    divides by a stride-b prefix sum whose top b entries (the remainder) must vanish."""
-    c = [1] + [0] * sum(a * m for a, m in num.items())
-    deg = 0
-    for a, m in num.items():
-        for _ in range(m):
-            deg += a
-            for i in range(deg, a - 1, -1):
-                c[i] -= c[i - a]
-    for b, m in den.items():  # all of num is in, so each 1 - q^b divides what is left
-        for _ in range(m):
-            for i in range(b, deg + 1):
-                c[i] += c[i - b]
-            if any(c[deg - b + 1:deg + 1]):  # pragma: no cover - would be a bug
-                raise ExactDivisionError(f"generating function failed to divide by 1 - q^{b}")
-            deg -= b
-    return LaurentPoly._new(0, c[:deg + 1])
 
 
 def _int_ratio(num, den) -> int:
@@ -150,6 +130,14 @@ def kuperberg_matrix(L: int, N: int, P: int) -> list[list[LaurentPoly]]:
     return rows
 
 
+def staircase_qbinom_det(L: int, N: int, P: int) -> LaurentPoly:
+    """det([L+N+j, L+i]_q) over i, j < P, on the shifted staircase index tuples
+    (L+N, ..., L+N+P-1) and (L, ..., L+P-1); 1 when P == 0.  Negative sides raise, as in zq."""
+    if L < 0 or N < 0 or P < 0:
+        raise ValueError("box sides must be non-negative")
+    return q_binomial_determinant(IndexTuples(tuple(range(L + N, L + N + P)), tuple(range(L, L + P))))
+
+
 @dataclass(frozen=True)
 class BoxDetIdentityReport:
     """Coefficient-wise comparison of the three evaluations of one determinant."""
@@ -185,8 +173,7 @@ def box_det_identity(L: int, N: int, P: int) -> BoxDetIdentityReport:
     norm = v_qn * v_ql
     det_value = LaurentPoly.monomial(1, -exact_half(L * (L - 1) * (N - L))) * det.exact_div(norm)
 
-    t = IndexTuples(tuple(range(L + N, L + N + cal_p)), tuple(range(L, L + cal_p)))
-    qbd = q_binomial_determinant(t)  # the empty determinant is 1 when cal_p == 0
+    qbd = staircase_qbinom_det(L, N, cal_p)
     qbd_value = LaurentPoly.monomial(1, -exact_half(N * (cal_p - 1) * cal_p)) * qbd
 
     zq_value = zq(L, N, cal_p)

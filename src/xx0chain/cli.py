@@ -17,13 +17,14 @@ import cmath
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import asym, boxcount, edoracle, qexact, schur, xx0core
+from . import asym, boxcount, edoracle, schur, xx0core
 from .errors import EnumerationBudgetError
 
 FLOAT_FMT = "{:.15g}"
@@ -135,32 +136,13 @@ def cmd_correlator(args) -> int:
 
 
 def cmd_count(args) -> int:
+    sides = ["N", "P"] if args.kind in ("a_cspp", "zq_cspp") else ["L", "N", "P"]
+    count = boxcount.staircase_qbinom_det if args.kind == "qbinom_det" else getattr(boxcount, args.kind)
     rows: list[dict] = []
-    if args.kind in ("macmahon", "zq", "qbinom_det"):
-        for L in args.L:
-            for N in args.N:
-                for P in args.P:
-                    row = {"L": L, "N": N, "P": P}
-                    if args.kind == "macmahon":
-                        row["value"] = str(boxcount.macmahon(L, N, P))
-                    elif args.kind == "zq":
-                        row["value"] = boxcount.zq(L, N, P).to_json_obj()
-                    else:  # the empty determinant (P == 0) is 1
-                        t = qexact.IndexTuples(tuple(range(L + N, L + N + P)), tuple(range(L, L + P)))
-                        row["value"] = qexact.q_binomial_determinant(t).to_json_obj()
-                    rows.append(row)
-        columns = ["L", "N", "P", "value"]
-    else:  # a_cspp / zq_cspp over (N, P)
-        for N in args.N:
-            for P in args.P:
-                row = {"N": N, "P": P}
-                if args.kind == "a_cspp":
-                    row["value"] = str(boxcount.a_cspp(N, P))
-                else:
-                    row["value"] = boxcount.zq_cspp(N, P).to_json_obj()
-                rows.append(row)
-        columns = ["N", "P", "value"]
-    _emit(rows, columns, args.format, args.out, "count")
+    for values in itertools.product(*(getattr(args, side) for side in sides)):
+        value = count(*values)  # an exact int or a LaurentPoly
+        rows.append(dict(zip(sides, values), value=str(value) if isinstance(value, int) else value.to_json_obj()))
+    _emit(rows, sides + ["value"], args.format, args.out, "count")
     return 0
 
 
@@ -317,8 +299,7 @@ def cmd_asym(args) -> int:
                 for beta in args.beta:
                     est = getattr(asym, f"{args.kind}_asymptotic")(M, N, n, beta)
                     row = {"M": M, "N": N, "n": n, "beta": _fmt(beta)}
-                    exact_ok = M <= args.exact_max_M and (args.kind == "ferro" or n <= N)
-                    if exact_ok:
+                    if M <= args.exact_max_M:
                         res = _correlator(args.kind)(M, N, n, beta)
                         val = res.value.real
                         row["exact_log"] = "nonpositive" if val <= 0 else _fmt(math.log(val))

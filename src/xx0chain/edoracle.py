@@ -322,7 +322,8 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
     kind 'ferro': projected thermal expectation on the N-particle ground
     state; 'domain_wall': insertion correlator on the (N-n)-particle ground
     state; 'walker': thermal transition amplitude between the two endpoint
-    configurations (endpoints = (mu_left, mu_right)).  The ground state is
+    configurations (endpoints = (mu_left, mu_right), each N strictly decreasing
+    sites in 0..M, as walker_amplitude_multi takes them).  The ground state is
     H's lowest eigenvector; both ratios are quadratic in it, so its scale and sign cancel.
     Each sector's lowest energy E0 is factored out of its Boltzmann weights, so the ferro
     ratio is sum |c_j|^2 exp(-beta (w_j - E0)) / |psi|^2 over the eigen-coordinates c_j of
@@ -335,11 +336,14 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
         c2, gap = _overlaps(kind, M, N, n)
         return _times_exp(_boltzmann_sum(_eigh_cached(M, N), beta, c2), -beta * gap, beta)
     if kind == "walker":
-        mu_left, mu_right = endpoints
-        basis = sector_basis(M, len(mu_left))
-        spectrum = _eigh_cached(M, len(mu_left))
+        if endpoints is None or len(endpoints) != 2 or any(len(mu) != N for mu in endpoints):
+            raise ValueError(f"need endpoints = (mu_left, mu_right), each of N = {N} sites")
+        basis, spectrum = sector_basis(M, N), _eigh_cached(M, N)
         ends = np.zeros((basis.dim, 2))
-        ends[basis.index(mu_left), 0] = ends[basis.index(mu_right), 1] = 1.0
+        try:
+            ends[basis.index(endpoints[0]), 0] = ends[basis.index(endpoints[1]), 1] = 1.0
+        except KeyError as exc:
+            raise ValueError(f"endpoint {exc.args[0]} must be strictly decreasing sites in 0..{M}") from None
         y = _coordinates(spectrum, ends)
         amplitude = _boltzmann_sum(spectrum, beta, y[:, 0].conj() * y[:, 1])
         if not isinstance(beta, complex):

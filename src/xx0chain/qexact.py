@@ -30,6 +30,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, isqrt, lcm, prod
 
 from .errors import ExactDivisionError
@@ -330,31 +331,46 @@ def q_number(n: int) -> LaurentPoly:
     return LaurentPoly({e: 1 for e in range(n)})
 
 
+def _q_ratio(num: dict[int, int], den: dict[int, int]) -> LaurentPoly:
+    """prod (1 - q^a)^m / prod (1 - q^b)^m over {exponent: multiplicity} maps,
+    on one integer list: 1 - q^a multiplies by shift-and-subtract, 1 - q^b
+    divides by a stride-b prefix sum whose top b entries (the remainder) must
+    vanish.  q_factorial, q_binomial and boxcount.zq are all expanded here."""
+    c = [1] + [0] * sum(a * m for a, m in num.items())
+    deg = 0
+    for a, m in num.items():
+        for _ in range(m):
+            deg += a
+            c[a:deg + 1] = [x - y for x, y in zip(c[a:deg + 1], c[:deg + 1 - a])]
+    for b, m in den.items():  # all of num is in, so each 1 - q^b divides what is left
+        for _ in range(m):
+            for r in range(b):  # the prefix sum runs along each residue class mod b
+                c[r:deg + 1:b] = accumulate(c[r:deg + 1:b])
+            if any(c[deg - b + 1:deg + 1]):  # pragma: no cover - would be a bug
+                raise ExactDivisionError(f"product failed to divide by 1 - q^{b}")
+            deg -= b
+    return LaurentPoly._new(0, c[:deg + 1])
+
+
 def q_factorial(n: int) -> LaurentPoly:
-    """[n]! = [1][2]...[n] with [0]! = 1."""
+    """[n]! = [1][2]...[n] = prod_{i<=n} (1 - q^i) / (1 - q)^n, with [0]! = 1."""
     if n < 0:
         raise ValueError("q-factorial requires n >= 0")
-    out = _ONE
-    for k in range(2, n + 1):
-        out = out * q_number(k)
-    return out
+    return _q_ratio(dict.fromkeys(range(1, n + 1), 1), {1: n})
 
 
-@lru_cache(maxsize=None)
 def q_binomial(n: int, r: int) -> LaurentPoly:
-    """Gaussian binomial coefficient via the Pascal recursion.
+    """Gaussian binomial coefficient [n, r], MacMahon's product for an r x (n-r) x 1 box.
 
-    Returns 0 for r < 0 or r > n; at q=1 it reduces to comb(n, r).  The
-    quotient-of-factorials form is kept as a test oracle only, so no
-    intermediate rational functions ever appear.
+    prod_{i<=k} (1 - q^(n-k+i)) / (1 - q^i) with k = min(r, n-r), expanded
+    by _q_ratio.  Returns 0 for r < 0 or r > n; at q=1 it reduces to comb(n, r).
     """
     if n < 0:
         raise ValueError("q-binomial requires n >= 0")
     if r < 0 or r > n:
         return _ZERO
-    if r == 0 or r == n:
-        return _ONE
-    return q_binomial(n - 1, r - 1) + LaurentPoly.monomial(1, r) * q_binomial(n - 1, r)
+    k = min(r, n - r)
+    return _q_ratio(dict.fromkeys(range(n - k + 1, n + 1), 1), dict.fromkeys(range(1, k + 1), 1))
 
 
 def q_vandermonde(N: int, Np: int, r: int) -> LaurentPoly:

@@ -13,6 +13,7 @@ the tableau sum is a test-only oracle.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -197,22 +198,20 @@ def schur_ssyt_oracle(lam, coords, max_weight: int = 12, max_vars: int = 6):
 def kernel_entry(z, exponent: int):
     """(1 - z**m)/(1 - z) with the analytic value m at z = 1.
 
-    Numeric track: the closed form away from z = 1, the explicit geometric
-    sum near it (the closed form loses precision there); exact track: the
-    closed form, divided exactly.
+    Numeric track: the closed form for |z - 1| > 0.1, nearer 1 expm1(m t) /
+    expm1(t) with t = log z, at O(1) cost.  Against 40-digit values the closed
+    form is off by about 1/|z - 1| ulps, cancelling in 1 - z, and the ratio by
+    about m |t| ulps; the switch is where the closed form is back within a few
+    ulps for small m.  Exact track: the closed form, divided exactly.
     """
     track = _classify((z,))
     if track != _NUMERIC:
         return exponent if z == 1 else _quotient(1 - z**exponent, 1 - z, track)
     zc = complex(z)
-    if abs(zc - 1.0) > 1e-8:
+    if abs(zc - 1.0) > 0.1:
         return (1.0 - zc**exponent) / (1.0 - zc)
-    total = 0.0 + 0.0j
-    p = 1.0 + 0.0j
-    for _ in range(exponent):
-        total += p
-        p *= zc
-    return total
+    t = cmath.log(zc)
+    return complex(np.expm1(exponent * t) / np.expm1(t)) if t else complex(exponent)
 
 
 def binet_cauchy_kernel(L: int, n: int, y, x):

@@ -148,23 +148,20 @@ def norm_squared(state: BetheState) -> float:
 def scalar_product(v, u, M: int) -> complex:
     """Overlap of a bra at parameters v with a ket at parameters u.
 
-    The Cauchy-Binet kernel schur.binet_cauchy_kernel(M+1-N, 0, v^-2, u^2):
-    the determinant of geometric kernels in u_k^2 / v_j^2 with exponent M+1,
-    normalized by the two Vandermondes; diagonal-degenerate entries take
-    their analytic value M+1.  With N > M+1 that N x N matrix has rank at
-    most M+1, and the overlap is 0.
+    domain_wall_formfactor(v, u, 0, M): the determinant of geometric kernels
+    in u_k^2 / v_j^2 with exponent M+1, normalized by the two Vandermondes;
+    diagonal-degenerate entries take their analytic value M+1.  With
+    N > M+1 that N x N matrix has rank at most M+1, and the overlap is 0.
     """
     v = tuple(v)
     u = tuple(u)
     if len(v) != len(u):
         raise ValueError("parameter tuples must have equal length")
-    u2 = [complex(x) ** 2 for x in u]
-    vm2 = [complex(x) ** (-2) for x in v]
     if len(u) > M + 1:
-        _check_distinct(u2)
-        _check_distinct(vm2)
+        _check_distinct([complex(x) ** 2 for x in u])
+        _check_distinct([complex(x) ** (-2) for x in v])
         return 0j
-    return complex(binet_cauchy_kernel(M + 1 - len(u), 0, vm2, u2))
+    return domain_wall_formfactor(v, u, 0, M)
 
 
 def efp_formfactor(state: BetheState, n: int) -> float:
@@ -306,6 +303,11 @@ def _site_sums(M: int, lo: int) -> np.ndarray:
     return out
 
 
+def _site_rows(kind: str, N: int, n: int) -> tuple[int, int]:
+    """(Ng, lo): C's Ng site-sum rows run over k = lo..M, Ng being the ground state's particle number."""
+    return (N, n) if kind == "ferro" else (N - n, 0)
+
+
 @lru_cache(maxsize=1)  # C is beta-independent and beta is swept innermost
 def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
     """(C, 2m of the momenta, Ng, E_gs): the N x (M+1) site-sum matrix both paths share.
@@ -316,7 +318,7 @@ def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndar
     on n plane-wave rows exp(-i s phi), s = n-1..0.  C and 2m are cached and
     read-only.
     """
-    Ng, lo = (N, n) if kind == "ferro" else (N - n, 0)
+    Ng, lo = _site_rows(kind, N, n)
     t = 2 * (M + 1)
     tm = _twice_m(M, N)
     tm_g = _twice_m(M, Ng)[:Ng]
@@ -415,7 +417,7 @@ def _spectral_log_value(kind: str, M: int, N: int, n: int, beta) -> complex:
     shift = float(np.max(a.real))
     if shift == -math.inf:
         return complex(-math.inf)  # every minor vanishes
-    Ng = N if kind == "ferro" else N - n
+    Ng, _ = _site_rows(kind, N, n)
     return cmath.log(complex(np.sum(np.exp(a - shift)))) + shift - (N + Ng) * math.log(M + 1)
 
 

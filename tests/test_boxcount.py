@@ -11,6 +11,7 @@ from xx0chain.boxcount import (
     kuperberg_matrix,
     macmahon,
     q_power_points,
+    staircase_qbinom_det,
     zq,
     zq_cspp,
 )
@@ -24,7 +25,7 @@ from xx0chain.qexact import (
     q,
     q_binomial_determinant,
 )
-from xx0chain.schur import schur_jacobi_trudi, vandermonde
+from xx0chain.schur import binet_cauchy_kernel, schur_jacobi_trudi, vandermonde
 
 
 def volume_histogram(stream):
@@ -239,6 +240,33 @@ class TestBoxDetIdentity:
                 # vandermonde() already uses the decreasing-power det convention
                 det = exact_det(kuperberg_matrix(0, N, P))
                 assert det == vandermonde(q_power_points(N))
+
+    def test_det_value_is_the_cauchy_binet_kernel_at_q_points(self):
+        # the form factor's two-block kernel at y = (q, ..., q^N), x = (1, ..., q^(L-1)),
+        # exactly, over the box range of `verify`
+        for N in range(1, 5):
+            for P in range(N + 1, 2 * N):
+                for L in range(1, N + 1):
+                    y, x = q_power_points(N, start=1), q_power_points(L, start=0)
+                    kern = binet_cauchy_kernel(P - N + 1, 0, y, x)
+                    want = LaurentPoly.monomial(1, -exact_half(L * (L - 1) * (N - L))) * kern
+                    assert box_det_identity(L, N, P).det_value == want, (L, N, P)
+
+
+class TestStaircaseDeterminant:
+    def test_is_the_q_binomial_determinant_on_staircase_tuples(self):
+        for L in range(0, 4):
+            for N in range(0, 4):
+                for P in range(0, 4):
+                    t = IndexTuples(tuple(range(L + N, L + N + P)), tuple(range(L, L + P)))
+                    assert staircase_qbinom_det(L, N, P) == q_binomial_determinant(t), (L, N, P)
+        assert staircase_qbinom_det(3, 2, 0) == 1
+
+    def test_negative_side_raises(self):
+        # N = -1 once gave 0 and P = -1 the empty determinant 1
+        for sides in [(-1, 2, 2), (3, -1, 2), (3, 2, -1)]:
+            with pytest.raises(ValueError, match="non-negative"):
+                staircase_qbinom_det(*sides)
 
 
 class TestSchurPairSumPipeline:

@@ -130,6 +130,12 @@ class TestCount:
         _, out = run_cli(["count", "qbinom_det", "--P", "0", "--format", "json"], capsys)
         assert json.loads(out)["rows"][0]["value"] == {"0": "1"}
 
+    def test_qbinom_det_on_a_long_side(self, capsys):
+        # [1201, 1200] = 1 + q + ... + q^1200; a recursive q-binomial overflowed the stack here
+        rc, out = run_cli(["count", "qbinom_det", "--L", "1200", "--N", "1", "--P", "1", "--format", "json"], capsys)
+        assert rc == 0
+        assert json.loads(out)["rows"][0]["value"] == {str(e): "1" for e in range(1201)}
+
 
 # sha256 of stdout, recorded before the exact layer moved to integer arithmetic;
 # qbinom_det (8,8,8), the widest packed determinant, was recorded before
@@ -342,6 +348,9 @@ class TestParser:
         ("correlator ferro --M 5 --N 9", "need 0 <= N <= M+1"),
         ("count zq_cspp --N 3 --P 1", "P >= N-1"),
         ("count macmahon --L -1", "box sides must be non-negative"),
+        ("count qbinom_det --L -1 --N 2 --P 2", "box sides must be non-negative"),
+        ("count qbinom_det --L 3 --N -1 --P 2", "box sides must be non-negative"),
+        ("count qbinom_det --L 3 --N 2 --P -1", "box sides must be non-negative"),
     ]
 
     @pytest.mark.parametrize("command,constraint", OUT_OF_DOMAIN)

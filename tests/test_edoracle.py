@@ -267,6 +267,15 @@ class TestOracleCorrelators:
         with pytest.raises(ValueError):
             oracle_correlator("mystery", 3, 1)
 
+    def test_walker_endpoints_are_checked(self):
+        # the sector was taken from len(mu_left): None raised TypeError, a short mu_right KeyError
+        for endpoints in [None, ((3, 1), (2,)), ((3,), (2,)), ((3, 1, 0), (4, 2, 1)), ((3, 1),)]:
+            with pytest.raises(ValueError, match="N = 2 sites"):
+                oracle_correlator("walker", 5, 2, beta=1.0, endpoints=endpoints)
+        for endpoints in [((1, 3), (2, 0)), ((3, 1), (6, 0)), ((3, 3), (2, 0))]:
+            with pytest.raises(ValueError, match="strictly decreasing"):
+                oracle_correlator("walker", 5, 2, beta=1.0, endpoints=endpoints)
+
     def test_accepts_the_range_of_n_that_persistence_accepts(self):
         def outcome(f):
             try:

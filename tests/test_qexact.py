@@ -251,6 +251,12 @@ class TestQNumbers:
         assert q_factorial(2) == 1 + q
         assert q_factorial(3) == (1 + q) * (1 + q + q**2)
 
+    def test_q_factorial_is_the_product_of_q_numbers(self):
+        out = LaurentPoly.const(1)
+        for n in range(1, 12):
+            out = out * q_number(n)
+            assert q_factorial(n) == out, n
+
     def test_q_binomial_examples(self):
         assert q_binomial(5, 0) == 1
         assert q_binomial(4, 2) == 1 + q + 2 * q**2 + q**3 + q**4
@@ -266,6 +272,13 @@ class TestQNumbers:
         for n in range(13):
             for r in range(n + 1):
                 assert q_binomial(n, r) == q_binomial(n, n - r)
+
+    def test_q_binomial_on_long_rows(self):
+        # a recursive Pascal rule overflowed the stack from n = 500 on
+        assert q_binomial(1500, 3) == q_binomial(1500, 1497)
+        assert q_binomial(1500, 3).at_one() == comb(1500, 3)
+        assert q_binomial(1500, 3).degree() == 3 * 1497
+        assert q_binomial(600, 2) == q_binomial(599, 1) + q**2 * q_binomial(599, 2)
 
     def test_both_pascal_recursions(self):
         # the two q-deformed Pascal rules, as exact Laurent identities

@@ -205,6 +205,38 @@ class TestBinetCauchy:
             binet_cauchy_bruteforce(10**4, 0, (1.0, 2.0), (3.0, 4.0), max_terms=100)
 
 
+class TestKernelEntry:
+    def test_matches_40_digits_near_one(self):
+        # the closed form lost up to 5.7e-9 here, cancelling in 1 - z
+        import mpmath
+
+        rng = np.random.default_rng(5)
+        cases = [(d, m) for d in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 5e-2) for m in (1, 2, 3, 7, 30, 100, 333, 1000)]
+        cases += [(d, 10**6) for d in (1e-12, 1e-9, 1e-6)]  # O(1) in m: once a 10^6-term loop
+        for delta, m in cases:
+            z = 1 + delta * complex(np.exp(2j * np.pi * rng.uniform()))
+            with mpmath.workdps(40):
+                zm = mpmath.mpc(z.real, z.imag)
+                want = complex((1 - zm**m) / (1 - zm))
+            bound = 4e-14 if delta > 1e-2 else 1e-14
+            assert abs(kernel_entry(z, m) - want) <= bound * abs(want), (delta, m)
+
+    def test_closed_form_far_from_one(self):
+        # small exponents far from z = 1 keep the closed form, the more accurate there
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            z = rng.uniform(0.25, 2.25) * complex(np.exp(2j * np.pi * rng.uniform()))
+            if abs(z - 1) > 0.1:
+                for m in (1, 2, 3):
+                    assert kernel_entry(z, m) == (1 - z**m) / (1 - z)
+
+    def test_end_points(self):
+        for m in (0, 1, 5, 10**6):
+            assert kernel_entry(1.0, m) == m and kernel_entry(1 + 0j, m) == m
+        for m in (1, 5, 10**6):
+            assert kernel_entry(0.0, m) == 1
+
+
 class TestExactRings:
     """Exact coordinates give exact values: never a float or a complex."""
 

@@ -161,12 +161,14 @@ class TestEmptinessFormation:
 
 class TestDomainWallFormFactor:
     def test_reduces_to_scalar_product(self):
+        # scalar_product is the n = 0 form factor, bit for bit
         rng = np.random.default_rng(2)
-        v = tuple(rng.uniform(0.6, 1.4, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3)))
-        u = tuple(rng.uniform(0.6, 1.4, 3) * np.exp(2j * np.pi * rng.uniform(0, 1, 3)))
-        a = domain_wall_formfactor(v, u, 0, 6)
-        b = scalar_product(v, u, 6)
-        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+        for _ in range(50):
+            M = int(rng.integers(0, 8))
+            N = int(rng.integers(0, M + 2))
+            v = tuple(rng.uniform(0.6, 1.4, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N)))
+            u = tuple(rng.uniform(0.6, 1.4, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N)))
+            assert scalar_product(v, u, M) == domain_wall_formfactor(v, u, 0, M), (M, N)
 
     def test_matches_padded_schur_sum(self):
         from xx0chain.schur import padded_schur_sum_bruteforce
