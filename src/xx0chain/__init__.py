@@ -9,7 +9,6 @@ from .asym import (
     big_phi,
     domain_wall_asymptotic,
     ferro_asymptotic,
-    log_barnes_g,
     mehta_integral,
     phi_n,
 )

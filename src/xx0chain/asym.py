@@ -1,5 +1,8 @@
-"""Barnes G-function, the Gaussian-ensemble normalization integral, and the
-low-temperature estimates of both persistence correlators.
+"""Low-temperature estimates of both persistence correlators, with their
+pieces: the log of a boxed plane-partition count (one float sum over the
+box's hook multiplicities, exact to round-off for every box), the
+Gaussian-ensemble normalization integral, and the integer Barnes G values
+behind it.
 
 The estimates keep their undetermined multiplicative constants symbolic:
 every asymptotic law is validated downstream as a slope or a ratio, never
@@ -12,12 +15,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .boxcount import macmahon
+from .boxcount import _box_exponents
 
 __all__ = [
-    "GLAISHER_A",
     "barnes_g_integer",
-    "log_barnes_g",
     "mehta_integral",
     "phi_n",
     "big_phi",
@@ -28,11 +29,7 @@ __all__ = [
     "log_box_count",
 ]
 
-#: Glaisher-Kinkelin constant, the normalization of the large-z expansion.
-GLAISHER_A = 1.2824271291006226369
-
 _LOG_2PI = math.log(2.0 * math.pi)
-_EXPANSION_CUTOFF = 20.0
 
 
 @lru_cache(maxsize=None)
@@ -45,38 +42,6 @@ def barnes_g_integer(n: int) -> int:
     for k in range(1, n):
         fact *= k
         out *= fact
-    return out
-
-
-def _log_barnes_expansion(z: float) -> float:
-    # constant term 1/12 - log A (the derivative of zeta at -1); with the
-    # bare -log A the expansion misses every exact integer value by 1/12
-    return (
-        1.0 / 12.0
-        - math.log(GLAISHER_A)
-        + 0.5 * z * _LOG_2PI
-        + (0.5 * z * z - 1.0 / 12.0) * math.log(z)
-        - 0.75 * z * z
-    )
-
-
-def log_barnes_g(z: float) -> float:
-    """log G(z+1) for z >= 1.
-
-    Integer z <= 40 use the exact product; large z use the asymptotic
-    expansion; everything else is shifted upward through the recursion
-    log G(z+1) = log G(z+2) - log Gamma(z+1) until the expansion applies.
-    """
-    if z < 1:
-        raise ValueError("log_barnes_g requires z >= 1")
-    if float(z).is_integer() and z <= 40:
-        return math.log(barnes_g_integer(int(z)))
-    if z >= _EXPANSION_CUTOFF:
-        return _log_barnes_expansion(z)
-    shift = int(math.ceil(_EXPANSION_CUTOFF + 10.0 - z))
-    out = _log_barnes_expansion(z + shift)
-    for j in range(shift):
-        out -= math.lgamma(z + j + 1)
     return out
 
 
@@ -97,6 +62,8 @@ def phi_n(N: int) -> float:
 
 def _phi_pieces(N: int, M: int, beta: float) -> dict[str, float]:
     """Phi(N, M, beta) as the critical term -(N^2/2) log(beta) and the chain-size/Mehta term."""
+    if not 0 < beta < math.inf:  # also rejects NaN
+        raise ValueError("need beta > 0 and finite")
     return {
         "critical_exponent": -0.5 * N * N * math.log(beta),
         "phi": N * N * math.log(2.0 * math.pi / (M + 1)) + 3.0 * phi_n(N),
@@ -105,39 +72,22 @@ def _phi_pieces(N: int, M: int, beta: float) -> dict[str, float]:
 
 def big_phi(N: int, M: int, beta: float) -> float:
     """N^2 log(2*pi/(M+1)) - (N^2/2) log(beta) + 3*phi_N."""
-    if N < 1 or M < 1 or beta <= 0:
-        raise ValueError("need N, M >= 1 and beta > 0")
+    if N < 1 or M < 1:
+        raise ValueError("need N, M >= 1")
     return sum(_phi_pieces(N, M, beta).values())
 
 
-_EXACT_N_LIMIT = 64
-_EXACT_P_LIMIT = 10**4
-
-# The count below is cached: every beta of a temperature sweep repeats the
-# same big-integer product, which would otherwise dominate the sweep.
-
-
-@lru_cache(maxsize=256)
 def log_box_count(L: int, N: int, P: int) -> float:
     """log of the plane-partition count in an L x N x P box.
 
-    math.log of the exact big integer for sides up to 64 and P up to 10^4,
-    a Barnes G-ratio beyond (math.log takes arbitrary ints, so neither overflows).
+    MacMahon's product of (P + s) / s over the cells of the L x N base,
+    s = j + k - 1, summed in logs as sum_s m_s log1p(P / s), with the values
+    s and multiplicities m_s of boxcount._box_exponents (which rejects
+    negative sides).  No term needs a big integer and none cancels another,
+    so the fsum is within round-off of the exact log for every P; an empty
+    base or P = 0 gives 0.0.
     """
-    if L == 0 or N == 0 or P == 0:
-        return 0.0
-    if max(L, N) <= _EXACT_N_LIMIT and P <= _EXACT_P_LIMIT:
-        return math.log(macmahon(L, N, P))
-    # G(L+1)G(N+1)G(L+N+P+1)G(P+1) / (G(L+N+1)G(L+P+1)G(N+P+1)); log_barnes_g(z) = log G(z+1)
-    return (
-        log_barnes_g(L)
-        + log_barnes_g(N)
-        - log_barnes_g(L + N)
-        + log_barnes_g(L + N + P)
-        + log_barnes_g(P)
-        - log_barnes_g(L + P)
-        - log_barnes_g(N + P)
-    )
+    return math.fsum(m * math.log1p(P / s) for s, m in _box_exponents(L, N, P)[1].items())
 
 
 @dataclass(frozen=True)
@@ -158,8 +108,6 @@ def _estimate(M: int, N: int, n: int, beta: float, L: int, P: int) -> Asymptotic
     """2 log A(L, N, P) + Phi(N, M, beta): a squared boxed-count amplitude,
     the exactly-linear critical term -(N^2/2) log(beta), and the
     chain-size/Mehta term."""
-    if not 0 < beta < math.inf:  # also rejects NaN
-        raise ValueError("need beta > 0 and finite")
     pieces = {"amplitude": 2.0 * log_box_count(L, N, P), **_phi_pieces(N, M, beta)}
     return AsymptoticEstimate(sum(pieces.values()), pieces, (M, N, n, beta))
 
@@ -194,4 +142,6 @@ def decreasing_regime(T: float, M: int, N: int, n: int, amplitude_constant: floa
     """
     if amplitude_constant <= 0:
         raise ValueError("amplitude constant must be positive")
+    if not 0 <= n < M:
+        raise ValueError("need 0 <= n < M")
     return T < N * M * M / (amplitude_constant**2 * (M - n) ** 4)

@@ -100,33 +100,26 @@ def cmd_correlator(args) -> int:
         _emit(rows, columns, args.format, args.out, "correlator")
         return 0
 
-    for M in args.M:
-        for N in args.N:
-            for n in args.n:
-                for beta in args.beta:
-                    row = {"M": M, "N": N, "n": n, "beta": _fmt(beta)}
-                    try:
-                        if args.kind == "efp":
-                            value = complex(xx0core.efp_formfactor(xx0core.ground_state(M, N), n))
-                            method, warn = "determinant", ""
-                        else:
-                            res = _correlator(args.kind)(
-                                M, N, n, beta, method=args.method, max_states=args.budget
-                            )
-                            value, method, warn = res.value, res.method, "; ".join(res.warnings)
-                    except EnumerationBudgetError as exc:
-                        row.update(
-                            value_re="", value_im="", method="budget-exceeded", warnings=str(exc)
-                        )
-                        rows.append(row)
-                        continue
-                    row.update(
-                        value_re=_fmt(float(value.real)),
-                        value_im=_fmt(float(value.imag)),
-                        method=method,
-                        warnings=warn,
-                    )
-                    rows.append(row)
+    for M, N, n, beta in itertools.product(args.M, args.N, args.n, args.beta):
+        row = {"M": M, "N": N, "n": n, "beta": _fmt(beta)}
+        try:
+            if args.kind == "efp":
+                value = complex(xx0core.efp_formfactor(xx0core.ground_state(M, N), n))
+                method, warn = "determinant", ""
+            else:
+                res = _correlator(args.kind)(M, N, n, beta, method=args.method, max_states=args.budget)
+                value, method, warn = res.value, res.method, "; ".join(res.warnings)
+        except EnumerationBudgetError as exc:
+            row.update(value_re="", value_im="", method="budget-exceeded", warnings=str(exc))
+            rows.append(row)
+            continue
+        row.update(
+            value_re=_fmt(float(value.real)),
+            value_im=_fmt(float(value.imag)),
+            method=method,
+            warnings=warn,
+        )
+        rows.append(row)
     columns = ["M", "N", "n", "beta", "value_re", "value_im", "method", "warnings"]
     _emit(rows, columns, args.format, args.out, "correlator")
     return 0
@@ -293,25 +286,22 @@ def cmd_verify(args) -> int:
 
 def cmd_asym(args) -> int:
     rows: list[dict] = []
-    for M in args.M:
-        for N in args.N:
-            for n in args.n:
-                for beta in args.beta:
-                    est = getattr(asym, f"{args.kind}_asymptotic")(M, N, n, beta)
-                    row = {"M": M, "N": N, "n": n, "beta": _fmt(beta)}
-                    if M <= args.exact_max_M:
-                        res = _correlator(args.kind)(M, N, n, beta)
-                        val = res.value.real
-                        row["exact_log"] = "nonpositive" if val <= 0 else _fmt(math.log(val))
-                        trusted = math.isfinite(val) and val > 0 and not res.warnings
-                        row["status"] = "ok" if trusted else "unreliable"
-                    else:
-                        row["exact_log"] = ""
-                        row["status"] = "asym-only"
-                    row["asym_log"] = _fmt(est.log_value)
-                    for key in ("amplitude", "critical_exponent", "phi"):
-                        row[key] = _fmt(est.pieces[key])
-                    rows.append(row)
+    for M, N, n, beta in itertools.product(args.M, args.N, args.n, args.beta):
+        est = getattr(asym, f"{args.kind}_asymptotic")(M, N, n, beta)
+        row = {"M": M, "N": N, "n": n, "beta": _fmt(beta)}
+        if M <= args.exact_max_M:
+            res = _correlator(args.kind)(M, N, n, beta)
+            val = res.value.real
+            row["exact_log"] = "nonpositive" if val <= 0 else _fmt(math.log(val))
+            trusted = math.isfinite(val) and val > 0 and not res.warnings
+            row["status"] = "ok" if trusted else "unreliable"
+        else:
+            row["exact_log"] = ""
+            row["status"] = "asym-only"
+        row["asym_log"] = _fmt(est.log_value)
+        for key in ("amplitude", "critical_exponent", "phi"):
+            row[key] = _fmt(est.pieces[key])
+        rows.append(row)
     columns = [
         "M", "N", "n", "beta", "exact_log", "asym_log",
         "amplitude", "critical_exponent", "phi", "status",

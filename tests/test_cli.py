@@ -157,18 +157,20 @@ def test_count_output_bytes_pinned(command, capsys):
 
 
 # sha256 of stdout (csv), recorded before the column-strict counts and both
-# estimates went through one box count; the last three rows use Barnes G-ratios
+# estimates went through one box count; the last three entries, with sides of
+# 70 and 100, were re-recorded when every box count became one log1p sum, which
+# prints the exact count's log where a Barnes G-ratio was off by ~1e-10
 PINNED_ASYM_OUTPUTS = {
     "asym ferro --M 60 --N 6 --n 1,3 --beta 8,40 --exact-max-M 60":
         "ee69a3a85b91043db290f5e64fe2f96617e0ce55fa233a61d287d5e34052403e",
     "asym domain_wall --M 200 --N 16 --n 2,5 --beta 3,20 --exact-max-M 200":
         "444d85c3c407c885ed1cf547b3163c820753c695526d4ab605ba52a9193bdb1d",
     "asym ferro --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
-        "aaa4b8dfc06c9afe6aa52023ce2d13823dcbfd4865891a286a07b4913b529408",
+        "36baa4dd34b40eb70e91f4ee967dfe57453d0ce10f89343ab2f275e54aaa9499",
     "asym domain_wall --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
-        "1032775d3ecd89cb5bd7e7464f7450437a60d81556dc722c361d9fa4f380134b",
+        "a4f4a9bb11284feebbc081f251e500132028a9342111da377ef874ba59a7d8ad",
     "asym ferro --M 300 --N 70 --n 1,2 --beta 5 --exact-max-M 24":
-        "d3d568e1cb57595dfa531520df1812d89df976cc9114582362150f5cfa06febb",
+        "bf33ef556f471429750d2a7dd96671c78d7662ec3cbd539d099780cdb7d57fa0",
 }
 
 
@@ -287,6 +289,18 @@ class TestAsymCmd:
         _, out = run_cli(["asym", "ferro", "--M", "20", "--N", "2", "--n", "1", "--beta", "10"], capsys)
         row = list(csv.DictReader(io.StringIO(out)))[0]
         assert math.exp(float(row["amplitude"])) == pytest.approx(a_cspp(2, 19) ** 2, rel=1e-9)
+
+    def test_amplitude_exact_on_a_long_chain(self, capsys):
+        # few particles on a million sites, where a ratio of Barnes G values cancels terms of size P^2 log P
+        from xx0chain.boxcount import a_cspp
+
+        _, out = run_cli(
+            ["asym", "ferro", "--M", "1000000", "--N", "3", "--n", "3", "--beta", "1e4", "--exact-max-M", "24"],
+            capsys,
+        )
+        row = list(csv.DictReader(io.StringIO(out)))[0]
+        want = 2 * math.log(a_cspp(3, 999997))
+        assert float(row["amplitude"]) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_asym_only_marking(self, capsys):
         _, out = run_cli(
