@@ -60,6 +60,10 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None, 
                 ]
             )
         text = buf.getvalue()
+    _write(text, out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -147,14 +151,23 @@ def _worst(*devs: float) -> float:
     return math.nan if any(math.isnan(d) for d in devs) else max(devs)
 
 
+def _random_points(rng, n: int, lo: float, hi: float) -> tuple:
+    """n complex points, moduli in [lo, hi) drawn before the uniform phases."""
+    return tuple(rng.uniform(lo, hi, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n)))
+
+
+def _bethe_parameters(state) -> tuple:
+    return tuple(np.exp(0.5j * np.asarray(state.roots)))
+
+
 def _suite_binet_cauchy(args) -> tuple[bool, float]:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     injected = args.inject_fault
     for _ in range(args.sets):
         for N in range(1, 4):
-            x = tuple(rng.uniform(0.5, 1.5, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N)))
-            y = tuple(rng.uniform(0.5, 1.5, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N)))
+            x = _random_points(rng, N, 0.5, 1.5)
+            y = _random_points(rng, N, 0.5, 1.5)
             for L in range(0, args.Lmax + 1):
                 for n in range(0, L + 1):
                     kern = schur.binet_cauchy_kernel(L, n, y, x)
@@ -173,8 +186,8 @@ def _suite_schur_block_sum(args) -> tuple[bool, float]:
     for _ in range(args.sets):
         for N in range(1, 4):
             for n in range(0, N + 1):
-                v = tuple(rng.uniform(0.6, 1.4, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N)))
-                u = tuple(rng.uniform(0.6, 1.4, N - n) * np.exp(2j * np.pi * rng.uniform(0, 1, N - n)))
+                v = _random_points(rng, N, 0.6, 1.4)
+                u = _random_points(rng, N - n, 0.6, 1.4)
                 M = N + 3
                 brute = schur.padded_schur_sum_bruteforce(M + 1 - N, n, v, u, max_terms=args.budget)
                 pref = np.prod([complex(x) ** (2 * n) for x in u]) if len(u) else 1.0
@@ -200,12 +213,12 @@ def _suite_orthogonality(args) -> tuple[bool, float]:
         for N in range(1, min(args.Nmax, M + 1) + 1):
             states = list(xx0core.enumerate_bethe_states(M, N))
             for i, si in enumerate(states):
-                ui = tuple(np.exp(0.5j * np.asarray(si.roots)))
+                ui = _bethe_parameters(si)
                 norm_i = xx0core.norm_squared(si)
                 got = xx0core.scalar_product(ui, ui, M)
                 worst = _worst(worst, abs(got - norm_i) / norm_i)
                 for sj in states[i + 1:]:
-                    uj = tuple(np.exp(0.5j * np.asarray(sj.roots)))
+                    uj = _bethe_parameters(sj)
                     sp = xx0core.scalar_product(ui, uj, M)
                     worst = _worst(worst, abs(sp) / math.sqrt(norm_i * xx0core.norm_squared(sj)))
     return worst <= args.tol, worst
@@ -218,9 +231,7 @@ def _suite_identity_resolution(args) -> tuple[bool, float]:
             basis = edoracle.sector_basis(M, N)
             acc = np.zeros((basis.dim, basis.dim), dtype=complex)
             for state in xx0core.enumerate_bethe_states(M, N):
-                vec = edoracle.build_state_vector(
-                    tuple(np.exp(0.5j * np.asarray(state.roots))), M, N
-                )
+                vec = edoracle.build_state_vector(_bethe_parameters(state), M, N)
                 acc += np.outer(vec, vec.conj()) / xx0core.norm_squared(state)
             worst = _worst(worst, float(np.max(np.abs(acc - np.eye(basis.dim)))))
     return worst <= args.tol, worst
@@ -246,38 +257,32 @@ def _suite_correlators(args) -> tuple[bool, float]:
     return worst <= args.tol, worst
 
 
-_SUITES = [
-    ("binet-cauchy", _suite_binet_cauchy),
-    ("schur-block-sum", _suite_schur_block_sum),
-    ("box-determinants", _suite_box_determinants),
-    ("orthogonality", _suite_orthogonality),
-    ("identity-resolution", _suite_identity_resolution),
-    ("correlators", _suite_correlators),
-]
+_SUITES = {
+    "binet-cauchy": _suite_binet_cauchy,
+    "schur-block-sum": _suite_schur_block_sum,
+    "box-determinants": _suite_box_determinants,
+    "orthogonality": _suite_orthogonality,
+    "identity-resolution": _suite_identity_resolution,
+    "correlators": _suite_correlators,
+}
 
 
 def cmd_verify(args) -> int:
-    selected = [s for s in args.suite.split(",") if s] if args.suite else [n for n, _ in _SUITES]
-    known = {n for n, _ in _SUITES}
-    unknown = [s for s in selected if s not in known]
+    selected = [s for s in args.suite.split(",") if s] if args.suite else list(_SUITES)
+    unknown = [s for s in selected if s not in _SUITES]
     if unknown:
         sys.stderr.write(f"unknown suite(s): {', '.join(unknown)}\n")
         return 2
     all_ok = True
     lines = []
-    for name, fn in _SUITES:
+    for name, fn in _SUITES.items():
         if name not in selected:
             continue
         ok, dev = fn(args)
         all_ok = all_ok and ok
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'} (max deviation {dev:.3e})")
     lines.append(f"verify: {'PASS' if all_ok else 'FAIL'}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0 if all_ok else 1
 
 

@@ -9,10 +9,12 @@ exhausting memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations_with_replacement
+from math import comb, prod
 from typing import Iterator
 
 from .errors import EnumerationBudgetError
+from .qexact import IndexTuples
 
 __all__ = [
     "Partition",
@@ -139,18 +141,7 @@ def enumerate_partitions_in_box(max_part: int, max_len: int) -> Iterator[Partiti
     """
     if max_part < 0 or max_len < 0:
         raise ValueError("box sides must be non-negative")
-
-    def rec(bound: int, slots: int):
-        if slots == 0 or bound == 0:
-            yield ()
-            return
-        for first in range(bound, 0, -1):
-            for rest in rec(first, slots - 1):
-                yield (first,) + rest
-        yield ()
-
-    for parts in rec(max_part, max_len):
-        yield Partition(parts)
+    return map(Partition, combinations_with_replacement(range(max_part, -1, -1), max_len))
 
 
 def _rows_dominated(bound: tuple[int, ...], strict: bool) -> Iterator[tuple[int, ...]]:
@@ -236,25 +227,16 @@ def _single_paths(a: int, b: int) -> list[frozenset[tuple[int, int]]]:
 def count_lattice_path_families(a, b, max_tuples: int = DEFAULT_ENUM_BUDGET) -> int:
     """Count tuples of pairwise vertex-disjoint monotone lattice paths.
 
-    Path i runs from (0, a_i) to (b_i, b_i); both index tuples must be
-    strictly increasing.  Exhaustive enumeration with early pruning; this is
+    Path i runs from (0, a_i) to (b_i, b_i), with (a, b) checked as
+    qexact.IndexTuples.  Exhaustive enumeration with early pruning; this is
     deliberately independent of any determinant evaluation.
     """
-    a = tuple(int(x) for x in a)
-    b = tuple(int(x) for x in b)
-    if len(a) != len(b):
-        raise ValueError("endpoint tuples must have equal length")
-    for t in (a, b):
-        if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
-            raise ValueError("endpoint tuples must be strictly increasing")
-    if not a:
+    ends = IndexTuples(a, b)
+    if not ends.size:
         return 1
-    total_combos = 1
-    for ai, bi in zip(a, b):
-        total_combos *= max(comb(ai, bi), 1)
-        if total_combos > max_tuples:
-            raise EnumerationBudgetError("path-family enumeration exceeds budget")
-    families = [_single_paths(ai, bi) for ai, bi in zip(a, b)]
+    if prod(max(comb(ai, bi), 1) for ai, bi in zip(ends.a, ends.b)) > max_tuples:
+        raise EnumerationBudgetError("path-family enumeration exceeds budget")
+    families = [_single_paths(ai, bi) for ai, bi in zip(ends.a, ends.b)]
 
     def rec(i: int, used: frozenset) -> int:
         if i == len(families):

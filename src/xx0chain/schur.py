@@ -214,6 +214,16 @@ def kernel_entry(z, exponent: int):
     return complex(np.expm1(exponent * t) / np.expm1(t)) if t else complex(exponent)
 
 
+def _check_shape(L: int, n: int, y, x):
+    x = tuple(x)
+    y = tuple(y)
+    if len(x) > len(y) or (n and len(x) != len(y)):
+        raise ValueError("coordinate tuples must have equal length, or len(x) < len(y) with n = 0")
+    if not 0 <= n <= L:
+        raise ValueError("need 0 <= n <= L")
+    return x, y
+
+
 def binet_cauchy_kernel(L: int, n: int, y, x):
     """Restricted two-sided Schur sum in determinant form.
 
@@ -222,14 +232,10 @@ def binet_cauchy_kernel(L: int, n: int, y, x):
     N + L - n, and the prefactor is prod (x_l y_l)^n over the Vandermondes.
     With n = 0, x may be shorter than y = (y_0..y_{N-1}): rows k >= len(x)
     are the monomials y_j^(N-1-k), and the value is prod x_l^(N - len x)
-    times the L x len(x) box sum of padded_schur_sum_bruteforce.
+    times the L x len(x) box sum of binet_cauchy_bruteforce, its oracle in
+    both shapes.
     """
-    x = tuple(x)
-    y = tuple(y)
-    if len(x) > len(y) or (n and len(x) != len(y)):
-        raise ValueError("coordinate tuples must have equal length, or len(x) < len(y) with n = 0")
-    if not 0 <= n <= L:
-        raise ValueError("need 0 <= n <= L")
+    x, y = _check_shape(L, n, y, x)
     N = len(y)
     if N == 0:
         return 1
@@ -244,38 +250,28 @@ def binet_cauchy_kernel(L: int, n: int, y, x):
     return _quotient(pref * det, vandermonde(y) * vandermonde(x), track)
 
 
-def _box_sum_budget(max_part: int, length: int, max_terms: int):
-    n_terms = comb(max_part + length, length)
-    if n_terms > max_terms:
-        raise EnumerationBudgetError(
-            f"partition sum has {n_terms} terms, budget is {max_terms}"
-        )
-
-
 def binet_cauchy_bruteforce(L: int, n: int, y, x, max_terms: int = 10**6):
-    """Direct sum of S(y)*S(x) over partitions with all N parts in [n, L]."""
-    x = tuple(x)
-    y = tuple(y)
-    if len(x) != len(y):
-        raise ValueError("coordinate tuples must have equal length")
-    if not 0 <= n <= L:
-        raise ValueError("need 0 <= n <= L")
-    N = len(x)
-    _box_sum_budget(L - n, N, max_terms)
+    """Direct sum of S(y)*S(x): binet_cauchy_kernel's oracle in both shapes.
+
+    The sum runs over partitions with all len(x) parts in [n, L]; with n = 0
+    and len(x) < len(y), the kernel is this sum times prod x_l^(len y - len x).
+    """
+    x, y = _check_shape(L, n, y, x)
+    n_terms = comb(L - n + len(x), len(x))
+    if n_terms > max_terms:
+        raise EnumerationBudgetError(f"partition sum has {n_terms} terms, budget is {max_terms}")
     total = 0
-    for mu in enumerate_partitions_in_box(L - n, N):
-        lam = tuple(mu) + (0,) * (N - len(mu))
-        lam = tuple(v + n for v in lam)
+    for mu in enumerate_partitions_in_box(L - n, len(x)):
+        lam = tuple(v + n for v in mu + (0,) * (len(x) - len(mu)))
         total = total + schur_jacobi_trudi(lam, y) * schur_jacobi_trudi(lam, x)
     return total
 
 
 def padded_schur_sum_bruteforce(K: int, n: int, v, u, max_terms: int = 10**6):
-    """Sum of S_padded(v^-2) * S(u^2) over partitions in a K x (N-n) box.
+    """Sum of S(v^-2) * S(u^2) over partitions in a K x (N-n) box.
 
-    v has N entries and u has N-n; each partition of at most N-n parts is
-    zero-padded to exactly N parts before the v-side evaluation (padding is
-    explicit here even though trailing zero parts do not change the value).
+    v has N entries and u has N-n: binet_cauchy_bruteforce's two-block
+    shape, the oracle of the kernel behind the domain-wall insertion.
     """
     v = tuple(v)
     u = tuple(u)
@@ -284,12 +280,4 @@ def padded_schur_sum_bruteforce(K: int, n: int, v, u, max_terms: int = 10**6):
         raise ValueError("need len(v) = N, len(u) = N - n with 0 <= n <= N")
     if K < 0:
         raise ValueError("box width K must be non-negative")
-    _box_sum_budget(K, N - n, max_terms)
-    vm2 = tuple(x ** (-2) for x in v)
-    u2 = tuple(x * x for x in u)
-    total = 0
-    for mu in enumerate_partitions_in_box(K, N - n):
-        lam = tuple(mu) + (0,) * (N - n - len(mu))
-        lam_hat = lam + (0,) * n
-        total = total + schur_jacobi_trudi(lam_hat, vm2) * schur_jacobi_trudi(lam, u2)
-    return total
+    return binet_cauchy_bruteforce(K, 0, tuple(x ** (-2) for x in v), tuple(x * x for x in u), max_terms)

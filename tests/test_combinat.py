@@ -94,6 +94,12 @@ class TestPartitionBoxEnumeration:
         seen = list(enumerate_partitions_in_box(3, 4))
         assert len(seen) == len(set(seen))
 
+    def test_negative_sides_raise_at_the_call(self):
+        # not at the first next(): the call itself checks the box
+        for sides in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                enumerate_partitions_in_box(*sides)
+
 
 class TestPlanePartitions:
     def test_validation(self):
@@ -180,6 +186,9 @@ class TestLatticePaths:
 
     def test_frozen_pair(self):
         assert count_lattice_path_families((2, 3), (1, 2)) == 3
+        for a, b in [((3, 2), (1, 2)), ((2, 3), (2, 2)), ((-1, 3), (0, 2))]:  # not increasing, negative
+            with pytest.raises(ValueError):
+                count_lattice_path_families(a, b)
 
     def test_gessel_viennot_agreement(self):
         # determinant == exhaustive disjoint-path count, all tuples with

@@ -171,18 +171,25 @@ class TestBinetCauchy:
             for n in range(0, N + 1):
                 for K in range(0, 4):
                     v, u = random_points(rng, N), random_points(rng, N - n)
-                    got = binet_cauchy_kernel(K, 0, [x**-2 for x in v], [x * x for x in u])
-                    want = np.prod([x ** (2 * n) for x in u]) * padded_schur_sum_bruteforce(K, n, v, u)
-                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (N, n, K)
+                    vm2, u2 = [x**-2 for x in v], [x * x for x in u]
+                    got = binet_cauchy_kernel(K, 0, vm2, u2)
+                    pref = np.prod([x ** (2 * n) for x in u])
+                    for brute in (padded_schur_sum_bruteforce(K, n, v, u), binet_cauchy_bruteforce(K, 0, vm2, u2)):
+                        assert abs(got - pref * brute) <= 1e-9 * max(1.0, abs(pref * brute)), (N, n, K)
                     v, u = q_points(N), q_points(N - n, start=2)
-                    got = binet_cauchy_kernel(K, 0, [x**-2 for x in v], [x * x for x in u])
-                    assert got == prod(x * x for x in u) ** n * padded_schur_sum_bruteforce(K, n, v, u), (N, n, K)
+                    vm2, u2 = [x**-2 for x in v], [x * x for x in u]
+                    got = binet_cauchy_kernel(K, 0, vm2, u2)
+                    pref = prod(u2) ** n
+                    assert got == pref * padded_schur_sum_bruteforce(K, n, v, u), (N, n, K)
+                    assert got == pref * binet_cauchy_bruteforce(K, 0, vm2, u2), (N, n, K)
 
     def test_two_block_shape_rejections(self):
-        with pytest.raises(ValueError):
-            binet_cauchy_kernel(2, 0, (0.5,), (0.7, 0.9))  # len(x) > len(y)
-        with pytest.raises(ValueError):
-            binet_cauchy_kernel(2, 1, (0.5, 0.6), (0.7,))  # n > 0 needs equal lengths
+        # the kernel and its oracle accept the same shapes
+        for evaluate in (binet_cauchy_kernel, binet_cauchy_bruteforce):
+            with pytest.raises(ValueError):
+                evaluate(2, 0, (0.5,), (0.7, 0.9))  # len(x) > len(y)
+            with pytest.raises(ValueError):
+                evaluate(2, 1, (0.5, 0.6), (0.7,))  # n > 0 needs equal lengths
 
     def test_kernel_rejects_coincident(self):
         with pytest.raises(DegenerateInputError):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from itertools import combinations
 from math import comb, pi, sqrt
 
@@ -228,7 +229,49 @@ class TestMirroredBlockSum:
             assert abs(brute - lib) <= 1e-9 * max(1.0, abs(lib)), (M, N, n)
 
 
+def _walk_count_amplitude(mu, nu, beta, M):
+    """sum_K (beta/2)^K / K! W_K(nu -> mu), W_K the exact count of K-step walks.
+
+    -2H is the 0/1 hop adjacency of the spin sector, so this is <mu|exp(-beta H)|nu>.
+    A walk moves one of the non-colliding walkers to an empty neighbouring site of
+    the ring; the frontier maps each sorted site tuple to its walk count.  The sum
+    stops once the tail bound e (N beta)^K / K! falls below 1e-17 of it.
+    """
+    L = M + 1
+    target = tuple(sorted(mu))
+    frontier = {tuple(sorted(nu)): 1}
+    coeff, terms, K = 1.0, [], 0
+    while True:
+        terms.append(coeff * frontier.get(target, 0))
+        total = math.fsum(terms)
+        if total > 0 and math.e * (len(mu) * beta) ** K / math.factorial(K) < 1e-17 * total:
+            return total
+        step = {}
+        for sites, count in frontier.items():
+            for i, s in enumerate(sites):
+                for t in ((s + 1) % L, (s - 1) % L):
+                    if t not in sites:
+                        key = sites[:i] + (t,) + sites[i + 1:]
+                        if abs(t - s) > 1:  # the hop crossed the seam between sites M and 0
+                            key = tuple(sorted(key))
+                        step[key] = step.get(key, 0) + count
+        frontier = step
+        K += 1
+        coeff *= beta / 2 / K
+
+
 class TestWalkers:
+    @pytest.mark.parametrize(
+        "M, mu, nu, beta",
+        [(7, (5, 3), (4, 1), 2), (100, (50, 3), (48, 0), 4), (1000, (5, 3, 1), (4, 2, 0), 1), (1000, (6, 3, 1), (4, 2, 0), 2)],
+    )
+    def test_multi_matches_exact_walk_counts(self, M, mu, nu, beta):
+        # beyond the ED oracle's sector budget, which stops three walkers at M = 31 and two at M = 99
+        start = time.perf_counter()
+        want = _walk_count_amplitude(mu, nu, beta, M)
+        assert time.perf_counter() - start < 2.0
+        assert abs(cmath.log(walker_amplitude_multi(mu, nu, beta, M)) - math.log(want)) <= 1e-12
+
     def test_beta_zero_is_identity(self):
         for M in (2, 3, 5):
             for k in range(M + 1):
@@ -300,12 +343,13 @@ class TestPersistenceBasics:
                     assert abs(cmath.exp(log_value) - 1.0) <= 1e-12
 
     def test_ferro_beta_zero_is_efp(self):
-        for M in (4, 6, 7):
-            for N in (1, 2):
+        # two library paths to one value: the Gram determinant at beta = 0 and the sine-kernel form factor
+        for M in range(16):
+            for N in range(M + 2):
                 gs = ground_state(M, N)
-                for n in range(N + 2):
+                for n in range(M + 2):
                     got = persistence_ferro(M, N, n, 0.0).value
-                    assert got.real == pytest.approx(efp_formfactor(gs, n), abs=1e-12)
+                    assert abs(got - efp_formfactor(gs, n)) <= 1e-12, (M, N, n)
 
     def test_domain_wall_full_insertion_is_walker_block(self):
         # n = N: the block matrix degenerates to the pure walker determinant
