@@ -13,21 +13,22 @@ independent of N reproduces neither exact diagonalization nor the n = 0
 normalization on every chain length, so every grid here carries the
 sector parity.
 
-Both correlators are read off one N x (M+1) site-sum matrix C.  With every
-momentum written as pi*2m/(M+1) for an integer 2m, a row of site sums
-sum_k exp(ik(theta - phi)) depends only on (2m_theta - 2m_phi) mod 2(M+1),
-so C is gathered from one vector of 2(M+1) closed-form geometric sums.  The
+Both correlators are read off one N x (M+1) site-sum matrix C.  The
 determinant path is the Gram determinant det(C W C^H), W = diag(exp(beta
 cos phi)) (Colomo, Izergin, Korepin & Tognetti, Theor. Math. Phys. 94,
 1993); the spectral path is its Cauchy-Binet expansion, the sum of
 exp(-beta E_S) |det C[:, S]|^2 over the N-subsets S of the momenta, which
 are the Bethe states.  Both work in log space and never form (M+1)^N or
-exp(beta N).
+exp(beta N).  A site sum sum_{k=lo..M} exp(ik(theta - phi)) is a real
+Dirichlet kernel times exp(i(lo+M)(theta - phi)/2), a diagonal unitary on
+either side of C that changes neither determinant, so both paths run on
+C's real rows: windows onto one table of the kernel over the integers 2m
+of the momenta pi*2m/(M+1).
 
 Each piece of determinant work is done once per process.  C does not depend
-on beta, and the CLI sweeps beta innermost, so _site_matrix keeps the last C
-it built (read-only, shared by every beta of the sweep).  The `asym` tables
-read back the correlators that the `correlator` tables of the same chain
+on beta, and the CLI sweeps beta innermost, so _site_matrix keeps the rows
+it built last (read-only, shared by every beta of the sweep).  The `asym`
+tables read back the correlators that the `correlator` tables of one chain
 have just computed, so _gram_log_value keeps the recent Gram determinants,
 keyed on complex(beta); callers still get a fresh CorrelatorResult with
 their own params.
@@ -44,6 +45,7 @@ from math import comb, cos, pi
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EnumerationBudgetError
 from .schur import _check_distinct, binet_cauchy_kernel
@@ -291,16 +293,21 @@ class CorrelatorResult:
             object.__setattr__(self, "log_abs", math.log(mag) if mag > 0 else -math.inf)
 
 
-def _site_sums(M: int, lo: int) -> np.ndarray:
-    """sum_{k=lo..M} z^k = (z^lo - (-1)^r) / (1 - z) for z = exp(i*pi*r/(M+1)), r = 0..2M+1."""
-    t = 2 * (M + 1)
-    r = np.arange(1, t)
-    half = np.exp(1j * pi * r / t)
-    z_lo = np.exp(2j * pi * ((lo * r) % t) / t)
-    out = np.empty(t, dtype=complex)
-    out[0] = M + 1 - lo
-    out[1:] = (z_lo - (1 - 2 * (r % 2))) / (-2j * np.sin(pi * r / t) * half)
-    return out
+def _sin_quarter(k: np.ndarray, M: int) -> np.ndarray:
+    """sin(pi k / (2(M+1))) for integer k, reduced mod 4(M+1) and folded into [0, pi/2] before the sine."""
+    h = 2 * (M + 1)
+    sign = np.where(k % (2 * h) < h, 1.0, -1.0)
+    k = k % h
+    return sign * np.sin(pi * np.minimum(k, h - k) / h)
+
+
+def _dirichlet(M: int, lo: int, d: np.ndarray) -> np.ndarray:
+    """The site sum sum_{k=lo..M} exp(ikx) over its phase exp(i(lo+M)x/2), x = pi d/(M+1), |d| < 2(M+1).
+
+    That is sin((M+1-lo)x/2) / sin(x/2), and M+1-lo at d = 0.
+    """
+    num, den = _sin_quarter(np.stack([(M + 1 - lo) * d, d]), M)
+    return np.divide(num, den, out=np.full(d.shape, float(M + 1 - lo)), where=d != 0)
 
 
 def _site_rows(kind: str, N: int, n: int) -> tuple[int, int]:
@@ -308,55 +315,64 @@ def _site_rows(kind: str, N: int, n: int) -> tuple[int, int]:
     return (N, n) if kind == "ferro" else (N - n, 0)
 
 
-@lru_cache(maxsize=1)  # C is beta-independent and beta is swept innermost
+@lru_cache(maxsize=1)  # R is beta-independent and beta is swept innermost
 def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """(C, 2m of the momenta, Ng, E_gs): the N x (M+1) site-sum matrix both paths share.
+    """(R, cos phi, Ng, E_gs): real rows of the N x (M+1) matrix C both paths share.
 
-    The columns are the N-particle momenta; Ng is the ground state's particle
-    number.  Ferro (N >= 1, n <= M+1-N): Ng = N rows of site sums over
-    k = n..M.  Domain wall: Ng = N-n rows of site sums over k = 0..M stacked
-    on n plane-wave rows exp(-i s phi), s = n-1..0.  C and 2m are cached and
-    read-only.
+    The columns are the N-particle momenta phi; Ng is the ground state's
+    particle number.  The Ng site-sum rows over k = lo..M without their
+    phases exp(ic theta) and exp(-ic phi), c = (lo+M)/2, are Dirichlet
+    kernels R[s, j] = _dirichlet(2m_s + 2m_j), the row of -theta_s: windows
+    onto one table.  Ferro (N >= 1, n <= M+1-N): Ng = N, lo = n.  Domain
+    wall: Ng = N-n, lo = 0, and n plane-wave rows exp(-ir phi), r = n-1..0,
+    which the column phase makes exp(i(c-r) phi); R adds their real, then
+    their imaginary parts as 2n rows (_with_border).  Cached, read-only.
     """
     Ng, lo = _site_rows(kind, N, n)
-    t = 2 * (M + 1)
     tm = _twice_m(M, N)
-    tm_g = _twice_m(M, Ng)[:Ng]
-    idx = np.subtract.outer(tm_g, tm)
-    idx %= t
-    C = _site_sums(M, lo)[idx]
+    d = np.arange(2 - Ng - N, 2 * M + Ng - N + 1, 2)
+    R = sliding_window_view(_dirichlet(M, lo, d), M + 1) if Ng else np.empty((0, M + 1))
     if kind == "domain_wall":
-        C = np.vstack([C, np.exp(-2j * pi * (np.multiply.outer(np.arange(n - 1, -1, -1), tm) % t) / t)])
-    e_gs = -float(np.sum(np.cos(pi * tm_g / (M + 1))))
-    C.setflags(write=False)
-    tm.setflags(write=False)
-    return C, tm, Ng, e_gs
+        k = np.multiply.outer(M - 2 * np.arange(n - 1, -1, -1), tm)  # (c-r) phi = pi k / (2(M+1))
+        R = np.vstack([R, _sin_quarter(np.concatenate([k + M + 1, k]), M)])
+    e_gs = -float(np.sum(np.cos(pi * _twice_m(M, Ng)[:Ng] / (M + 1))))
+    cos_phi = np.cos(pi * tm / (M + 1))
+    R.setflags(write=False)
+    cos_phi.setflags(write=False)
+    return R, cos_phi, Ng, e_gs
+
+
+def _with_border(X: np.ndarray, N: int, Ng: int) -> np.ndarray:
+    """X's first N rows, with rows N.. added times i to rows Ng..N-1: C from R, for the domain wall."""
+    return X if len(X) == N else np.concatenate([X[:Ng], X[Ng:N] + 1j * X[N:]])
 
 
 @lru_cache(maxsize=256)  # holds a chain's correlator and asym grids, both kinds, many times over
 def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, float]:
     """(log of the determinant-path correlator, conditioning estimate).
 
-    The correlator is exp(beta E_gs) det(C W C^H) / (M+1)^(N+Ng), with C from
-    _site_matrix and W = diag(exp(beta cos phi)).  C W C^H / (M+1) is
+    The correlator is exp(beta E_gs) det(C W C^H) / (M+1)^(N+Ng), C from
+    _site_matrix's real rows R, W = diag(exp(beta cos phi)) scaled by its
+    largest entry, which is added back as a log.  C W C^H / (M+1) is
     U F[n:, n:]^T U^H for ferro and the kernel / strip / walker block matrix
-    for the domain wall, F being the walker table.  The weights are scaled by
-    the largest one, which is added back as a log.  The estimate is NaN where
-    slogdet stands in for Cholesky (complex beta, or not positive definite in
-    double precision); the caller warns on NaN too.
+    for the domain wall, F being the walker table.  It is H = A A^T =
+    R W R^T, A = R W^(1/2): one product, real for real beta, and for the
+    domain wall with its border folded back on both sides.  The estimate is
+    NaN where slogdet stands in for Cholesky (complex beta, or not positive
+    definite in double precision); the caller warns on NaN too.
 
     Cached, because `asym` asks again for every value `correlator` printed;
     _persistence passes complex(beta), so an int, float or complex beta of
     equal value shares one entry.
     """
-    C, tm, Ng, e_gs = _site_matrix(kind, M, N, n)
+    R, cos_phi, Ng, e_gs = _site_matrix(kind, M, N, n)
     b = complex(beta)
     real_beta = b.imag == 0
-    log_w = (b.real if real_beta else b) * np.cos(pi * tm / (M + 1))
+    log_w = (b.real if real_beta else b) * cos_phi
     shift = float(np.max(log_w.real))
-    Cw = C * np.exp(log_w - shift)
-    np.conjugate(Cw, out=Cw)  # the cached C stays as it is, and no third N x (M+1) array is made
-    G = np.conjugate(Cw @ C.T)
+    A = R * np.exp((log_w - shift) / 2)
+    H = A @ A.T  # = R W R^T; one buffer on both sides, so numpy runs a single syrk
+    G = _with_border(_with_border(H, N, Ng).conj().T, N, Ng).conj().T  # T H T^H for C = T R
     log_det, ratio = _log_det(G, hermitian=real_beta)
     return log_det + N * shift + b * e_gs - (N + Ng) * math.log(M + 1), ratio
 
@@ -380,8 +396,8 @@ def _minor_terms(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndar
     chunks of about MINOR_ENTRIES matrix entries, each chunk's minors by one
     batched slogdet; a zero minor has log -inf.
     """
-    C, tm, _, e_gs = _site_matrix(kind, M, N, n)
-    cos_phi = np.cos(pi * tm / (M + 1))
+    R, cos_phi, Ng, e_gs = _site_matrix(kind, M, N, n)
+    C = _with_border(R, N, Ng)  # |det C[:, S]| is that of the full matrix, whose phases R drops
     subsets = combinations(range(M + 1), N)
     chunk = max(1, MINOR_ENTRIES // (N * N))
     log_det2, d_energy = [], []

@@ -159,12 +159,17 @@ def test_count_output_bytes_pinned(command, capsys):
 # sha256 of stdout (csv), recorded before the column-strict counts and both
 # estimates went through one box count; the last three entries, with sides of
 # 70 and 100, were re-recorded when every box count became one log1p sum, which
-# prints the exact count's log where a Barnes G-ratio was off by ~1e-10
+# prints the exact count's log where a Barnes G-ratio was off by ~1e-10.  The
+# domain-wall (200,16) entry was re-recorded when the determinant path went to
+# real arithmetic: its exact_log column moved by at most 1.4e-11 relative.  At
+# (200,16,5,3) it moved from 4.2e-13 to 3.8e-14 off a 40-digit Gram value; at
+# (200,16,5,20), whose Gram has a Cholesky-diagonal ratio of 1.7e7 and a
+# first-order rounding bound of 3.5e-10 in log, from 5.5e-13 to 8.8e-10 off
 PINNED_ASYM_OUTPUTS = {
     "asym ferro --M 60 --N 6 --n 1,3 --beta 8,40 --exact-max-M 60":
         "ee69a3a85b91043db290f5e64fe2f96617e0ce55fa233a61d287d5e34052403e",
     "asym domain_wall --M 200 --N 16 --n 2,5 --beta 3,20 --exact-max-M 200":
-        "444d85c3c407c885ed1cf547b3163c820753c695526d4ab605ba52a9193bdb1d",
+        "a93eb46a79db459e5e10e8e62d4b842cc825a9913728631817e2cb5dbe492ce4",
     "asym ferro --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
         "36baa4dd34b40eb70e91f4ee967dfe57453d0ce10f89343ab2f275e54aaa9499",
     "asym domain_wall --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
@@ -182,16 +187,20 @@ def test_asym_output_bytes_pinned(command, capsys):
 
 
 # sha256 of stdout (csv) of long-chain determinant-path tables, recorded
-# before the site-sum matrix and the Gram values were cached
+# before the site-sum matrix and the Gram values were cached.  The three
+# correlator tables on M = 1000 with N = 60 or a domain wall were re-recorded
+# when the determinant path went to real arithmetic (phase-free Dirichlet
+# rows, one real Gram product per beta): their values moved in the last
+# printed digits, by at most 1.7e-11 relative, toward 32-digit Gram values
 PINNED_DET_OUTPUTS = {
     "correlator ferro --M 1000 --N 60 --n 1,3 --beta 0.5,3":
-        "1e1a0414d697c4cbe88930b2002170e72049eeb6d9355076709809c83e90b532",
+        "8941a671dc41281c446d4eb73e83bf03c2a0b3e28b78a48649eb09464ceda9fc",
     "correlator domain_wall --M 1000 --N 60 --n 1,3 --beta 0.5,3":
-        "09eac1a82f42de483cd4cc129842ea7fadf4078a70f26de7c07c2fd4a2635e70",
+        "0bcb083c7658b6556596a43df77030f885c1fa44c395a268f048a671a2dc75c3",
     "correlator ferro --M 1000 --N 100 --n 3 --beta 1":
         "5ae46ee22cfda2488d87b0cd522573e660fdc54c69167e0a3f554b89991935b2",
     "correlator domain_wall --M 1000 --N 100 --n 3 --beta 1":
-        "713cc0e9a0ae41a93bf1736cf09b58981521628b902f44b15133f037ac045af2",
+        "630dd39b7668be5ece5262b5877b0e540bea4e16fa275b990748768136482cb9",
     "asym ferro --M 400 --N 40 --n 2,5 --beta 1,6 --exact-max-M 400":
         "4d37fc53fdb2d8822b54e00f0d4fce3df474cf1a9d341690f7c56b4d4ce82f3f",
 }

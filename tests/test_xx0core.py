@@ -427,34 +427,39 @@ def _table_contraction(kind, M, N, n, beta):
     return cmath.exp(complex(beta) * energy(gs)) * np.linalg.det(G) / (M + 1) ** Ng
 
 
-def _mp_ferro_gram(M, N, n, beta):
-    """The ferro correlator as a plain Gram determinant in 60-digit arithmetic.
+def _mp_gram_log(kind, M, N, n, beta, dps=40):
+    """Log of the correlator as a plain Gram determinant of complex site sums, in dps digits.
 
-    Site sums are added term by term, the Gram matrix over the whole
-    N-particle momentum grid is formed entry by entry and mpmath takes its
-    determinant; nothing is shared with the library.
+    Each site sum sum_{k=lo..M} z^k is the closed form (z^lo - z^(M+1)) / (1 - z),
+    the rows carry all their phases, the Gram matrix over the whole N-particle
+    momentum grid is formed entry by entry and mpmath takes its determinant;
+    nothing is shared with the library.
     """
     import mpmath
 
-    with mpmath.workdps(60):
-        grid = [mpmath.pi * (2 * j - (N - 1)) / (M + 1) for j in range(M + 1)]
-        weights = [mpmath.exp(beta * mpmath.cos(p)) for p in grid]
-        rows = []
-        for t in grid[:N]:
-            row = []
-            for p in grid:
-                z = mpmath.expj(t - p)
-                zk, acc = z**n, 0
-                for _ in range(n, M + 1):
-                    acc, zk = acc + zk, zk * z
-                row.append(acc)
-            rows.append(row)
+    with mpmath.workdps(dps):
+        Ng, lo = (N, n) if kind == "ferro" else (N - n, 0)
+        unit = mpmath.pi / (M + 1)
+        grid = [2 * j - (N - 1) for j in range(M + 1)]  # the momenta pi 2m/(M+1), as 2m
+        ground = [2 * a - (Ng - 1) for a in range(Ng)]  # the Ng-particle ground state
+
+        def site_sum(d):
+            if d == 0:
+                return mpmath.mpf(M + 1 - lo)
+            z_lo, z_end = mpmath.expj(lo * d * unit), mpmath.expj((M + 1) * d * unit)
+            return (z_lo - z_end) / (1 - mpmath.expj(d * unit))
+
+        rows = [[site_sum(t - p) for p in grid] for t in ground]
+        rows += [[mpmath.expj(-r * p * unit) for p in grid] for r in reversed(range(N - Ng))]  # domain wall only
+        weights = [mpmath.exp(beta * mpmath.cos(p * unit)) for p in grid]
+        conj_rows = [[mpmath.conj(y) for y in row] for row in rows]
         G = mpmath.matrix(N, N)
         for a in range(N):
+            weighted = [w * x for w, x in zip(weights, rows[a])]
             for b in range(N):
-                G[a, b] = mpmath.fsum(w * x * mpmath.conj(y) for w, x, y in zip(weights, rows[a], rows[b]))
-        norm = mpmath.mpf(M + 1) ** (2 * N) * mpmath.fprod(weights[:N])
-        return float(mpmath.re(mpmath.det(G)) / norm)
+                G[a, b] = mpmath.fdot(weighted, conj_rows[b])
+        e_gs = -mpmath.fsum(mpmath.cos(t * unit) for t in ground)
+        return float(mpmath.log(mpmath.re(mpmath.det(G))) + beta * e_gs - (N + Ng) * mpmath.log(M + 1))
 
 
 class TestGramDriver:
@@ -479,6 +484,26 @@ class TestGramDriver:
             if not isinstance(beta, complex):
                 assert ratio <= xx0core.PIVOT_RATIO_WARNING
 
+    def test_matches_extended_precision_gram(self):
+        # 40-digit Gram values; the domain wall at n = 1 has odd differences 2m_a - 2m_j
+        for kind, M, N, n in (("domain_wall", 400, 10, 1), ("ferro", 400, 10, 3)):
+            log_value, _ = _gram_log_value(kind, M, N, n, 0.5)
+            assert abs(log_value.real - _mp_gram_log(kind, M, N, n, 0.5)) <= 1e-13, kind
+
+    def test_dirichlet_table_is_the_site_sum(self):
+        # every difference |d| < 2(M+1) of both parities, on even and odd M;
+        # the phases of both sides are reduced in integers before exp
+        for M in (1, 2, 7, 10, 63, 200):
+            h = 2 * (M + 1)
+            d = np.arange(1 - h, h)
+            for lo in sorted({0, 1, M // 2, M}):
+                table = xx0core._dirichlet(M, lo, d)
+                assert table[d == 0] == M + 1 - lo
+                got = table * np.exp(1j * pi * ((lo + M) * d % (2 * h)) / h)
+                sd = np.multiply.outer(d, np.arange(lo, M + 1)) % h
+                want = np.exp(1j * pi * sd / (M + 1)).sum(axis=1)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (M, lo)
+
     def test_results_carry_the_log_value(self):
         for fn, kind in ((persistence_ferro, "ferro"), (persistence_domain_wall, "domain_wall")):
             res = fn(20, 5, 2, 3.0)
@@ -499,7 +524,7 @@ class TestGramDriver:
         # (M+1)^N and exp(beta*N) overflow in linear space, never in log space
         got = persistence_ferro(60, 20, 3, 40.0)
         assert cmath.isfinite(got.value) and not got.warnings
-        assert got.value.real == pytest.approx(_mp_ferro_gram(60, 20, 3, 40.0), rel=1e-7)
+        assert got.log_abs == pytest.approx(_mp_gram_log("ferro", 60, 20, 3, 40.0), abs=1e-7)
         got = persistence_ferro(1000, 100, 3, 1.0)
         assert not got.warnings and got.value.real == pytest.approx(0.63862107549, rel=1e-10)
         got = persistence_domain_wall(1000, 100, 3, 1.0)
@@ -535,7 +560,7 @@ class TestGramDriver:
         finally:
             tracemalloc.stop()
         persistence_domain_wall(1000, 100, 3, 1.0)
-        assert peak < 8 * 2**20
+        assert peak < 2 * 2**20
         assert xx0core._amplitude_table_cached.cache_info() == before
 
 
@@ -577,29 +602,32 @@ class TestDeterminantCaches:
                 assert any("non-finite" in w for w in res.warnings)
 
     def test_cached_site_matrix_is_read_only_and_kept(self):
-        for kind in ("ferro", "domain_wall"):
+        # ferro keeps N real rows; the domain wall N-n site rows and 2n border rows
+        for kind, rows in (("ferro", 4), ("domain_wall", 6)):
             _clear_determinant_caches()
-            C, tm, _, _ = xx0core._site_matrix(kind, 20, 4, 2)
-            assert not C.flags.writeable and not tm.flags.writeable
-            before = C.tobytes()
-            for beta in (1.5, 6.0):
+            R, cos_phi, _, _ = xx0core._site_matrix(kind, 20, 4, 2)
+            assert R.shape == (rows, 21) and R.dtype == float
+            assert not R.flags.writeable and not cos_phi.flags.writeable
+            before = R.tobytes()
+            for beta in (1.5, 6.0, 2.0 + 1.0j):
                 _gram_log_value(kind, 20, 4, 2, complex(beta))
-            assert xx0core._site_matrix(kind, 20, 4, 2)[0] is C
-            assert C.tobytes() == before
+            assert xx0core._site_matrix(kind, 20, 4, 2)[0] is R
+            assert R.tobytes() == before
 
     def test_cold_evaluation_stays_small(self):
-        # test_memory_and_no_table may be served from the cache; here C and G are built
+        # test_memory_and_no_table may be served from the cache; here R and G are built
         import tracemalloc
 
-        for fn in self.FNS.values():
+        # ferro's rows are a view of one table; the domain wall copies its rows once
+        for kind, limit_mib in (("ferro", 2), ("domain_wall", 3)):
             _clear_determinant_caches()
             tracemalloc.start()
             try:
-                fn(1000, 100, 3, 1.0)
+                self.FNS[kind](1000, 100, 3, 1.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * 2**20
+            assert peak < limit_mib * 2**20, kind
 
     def test_every_cache_is_bounded(self):
         caches = {name: obj for name, obj in vars(xx0core).items() if hasattr(obj, "cache_parameters")}
@@ -610,17 +638,17 @@ class TestDeterminantCaches:
     def test_det_grid_sequence_does_each_piece_once(self, monkeypatch, capsys):
         # det-grid's shape on one chain: correlator then asym, both kinds, over one n x beta grid
         M, N, ns, betas = 40, 6, (1, 2, 3), (1.0, 2.5, 7.0)
-        site_sums, gram = [], []
+        tables, gram = [], []
 
-        def count_site_sums(M, lo, _f=xx0core._site_sums):
-            site_sums.append(lo)
-            return _f(M, lo)
+        def count_tables(M, lo, d, _f=xx0core._dirichlet):
+            tables.append(lo)
+            return _f(M, lo, d)
 
         def count_log_det(G, hermitian, _f=xx0core._log_det):
             gram.append(G.shape)
             return _f(G, hermitian)
 
-        monkeypatch.setattr(xx0core, "_site_sums", count_site_sums)
+        monkeypatch.setattr(xx0core, "_dirichlet", count_tables)
         monkeypatch.setattr(xx0core, "_log_det", count_log_det)
         _clear_determinant_caches()
         grid = ["--M", str(M), "--N", str(N), "--n", ",".join(map(str, ns)), "--beta", ",".join(map(str, betas))]
@@ -629,8 +657,8 @@ class TestDeterminantCaches:
                 extra = ["--exact-max-M", str(M)] if command == "asym" else []
                 assert cli.main([command, kind] + grid + extra) == 0
         capsys.readouterr()
-        # ferro sums over sites n..M, the domain wall over 0..M for every n
-        assert sorted(site_sums) == [0, 0, 0, 1, 2, 3]
+        # one Dirichlet table per site build: ferro sums over sites n..M, the domain wall over 0..M for every n
+        assert sorted(tables) == [0, 0, 0, 1, 2, 3]
         assert len(gram) == 2 * len(ns) * len(betas)
 
 
