@@ -22,8 +22,7 @@ are the Bethe states.  Both work in log space and never form (M+1)^N or
 exp(beta N).  A site sum sum_{k=lo..M} exp(ik(theta - phi)) is a real
 Dirichlet kernel times exp(i(lo+M)(theta - phi)/2), a diagonal unitary on
 either side of C that changes neither determinant, so both paths run on
-C's real rows: windows onto one table of the kernel over the integers 2m
-of the momenta pi*2m/(M+1).
+C's real rows, windows onto one table of the kernel.
 
 Each piece of determinant work is done once per process.  C does not depend
 on beta, and the CLI sweeps beta innermost, so _site_matrix keeps the rows
@@ -319,27 +318,41 @@ def _site_rows(kind: str, N: int, n: int) -> tuple[int, int]:
 def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
     """(R, cos phi, Ng, E_gs): real rows of the N x (M+1) matrix C both paths share.
 
-    The columns are the N-particle momenta phi; Ng is the ground state's
-    particle number.  The Ng site-sum rows over k = lo..M without their
-    phases exp(ic theta) and exp(-ic phi), c = (lo+M)/2, are Dirichlet
-    kernels R[s, j] = _dirichlet(2m_s + 2m_j), the row of -theta_s: windows
-    onto one table.  Ferro (N >= 1, n <= M+1-N): Ng = N, lo = n.  Domain
-    wall: Ng = N-n, lo = 0, and n plane-wave rows exp(-ir phi), r = n-1..0,
-    which the column phase makes exp(i(c-r) phi); R adds their real, then
-    their imaginary parts as 2n rows (_with_border).  Cached, read-only.
+    Columns are the N-particle momenta phi, Ng is the ground state's particle
+    number.  Without their phases exp(ic theta) and exp(-ic phi), c = (lo+M)/2,
+    the Ng site-sum rows over k = lo..M are windows onto one Dirichlet table,
+    R[s, j] = _dirichlet(2m_s + 2m_j).  Ferro: Ng = N, lo = n.  Domain wall:
+    Ng = N-n, lo = 0, then the real and then the imaginary parts of n rows
+    u_j exp(i(M+1-n) phi/2), u_j = (2^.5 sin phi/2)^j (2^.5 cos phi/2)^(n-1-j).
+    With the column phase they span the plane waves exp(-ir phi), r < n, by a
+    B of |det| 1 (_plane_waves), and stay small where a large beta puts the
+    weight, so their Gram keeps its digits.  Cached, read-only.
     """
     Ng, lo = _site_rows(kind, N, n)
     tm = _twice_m(M, N)
     d = np.arange(2 - Ng - N, 2 * M + Ng - N + 1, 2)
     R = sliding_window_view(_dirichlet(M, lo, d), M + 1) if Ng else np.empty((0, M + 1))
     if kind == "domain_wall":
-        k = np.multiply.outer(M - 2 * np.arange(n - 1, -1, -1), tm)  # (c-r) phi = pi k / (2(M+1))
-        R = np.vstack([R, _sin_quarter(np.concatenate([k + M + 1, k]), M)])
+        k = (M + 1 - n) * tm  # (M+1-n) phi/2 = pi k / (2(M+1))
+        sin_half, cos_half, re, im = _sin_quarter(np.stack([tm, tm + M + 1, k + M + 1, k]), M)
+        u = (np.vander(math.sqrt(2) * sin_half, n, increasing=True) * np.vander(math.sqrt(2) * cos_half, n)).T
+        R = np.vstack([R, u * re, u * im])
     e_gs = -float(np.sum(np.cos(pi * _twice_m(M, Ng)[:Ng] / (M + 1))))
     cos_phi = np.cos(pi * tm / (M + 1))
     R.setflags(write=False)
     cos_phi.setflags(write=False)
     return R, cos_phi, Ng, e_gs
+
+
+@lru_cache(maxsize=16)
+def _plane_waves(n: int) -> np.ndarray:
+    """B, exp(-ir phi) = exp(-i(n-1) phi/2) sum_j B[n-1-r, j] u_j: B[:, j] = i^j K_j(r) / 2^((n-1)/2)."""
+    x, K = 2.0 * np.arange(n) - (n - 1), [np.zeros(n), np.ones(n)]  # x = n-1-2r for r = n-1..0
+    for j in range(n - 1):  # the recurrence of the Krawtchouk polynomials K_j of order n-1
+        K.append((x * K[-1] - (n - j) * K[-2]) / (j + 1))
+    B = np.stack(K[1:], axis=1) * 1j ** np.arange(n) / 2 ** ((n - 1) / 2)
+    B.setflags(write=False)
+    return B
 
 
 def _with_border(X: np.ndarray, N: int, Ng: int) -> np.ndarray:
@@ -352,18 +365,17 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, f
     """(log of the determinant-path correlator, conditioning estimate).
 
     The correlator is exp(beta E_gs) det(C W C^H) / (M+1)^(N+Ng), C from
-    _site_matrix's real rows R, W = diag(exp(beta cos phi)) scaled by its
-    largest entry, which is added back as a log.  C W C^H / (M+1) is
-    U F[n:, n:]^T U^H for ferro and the kernel / strip / walker block matrix
-    for the domain wall, F being the walker table.  It is H = A A^T =
-    R W R^T, A = R W^(1/2): one product, real for real beta, and for the
-    domain wall with its border folded back on both sides.  The estimate is
-    NaN where slogdet stands in for Cholesky (complex beta, or not positive
-    definite in double precision); the caller warns on NaN too.
-
+    _site_matrix's rows R, W = diag(exp(beta cos phi)) over its largest
+    entry, which is added back as a log.  C W C^H / (M+1) is U F[n:, n:]^T
+    U^H for ferro and the kernel / strip / walker block matrix for the domain
+    wall, F being the walker table.  H = A A^T = R W R^T, A = R W^(1/2), is one
+    product, real for real beta.  The estimate is that of C with its plane-wave
+    rows for the domain wall, and NaN where slogdet stands in for Cholesky
+    (complex beta, or not positive definite in double precision); the caller
+    warns on NaN too.
     Cached, because `asym` asks again for every value `correlator` printed;
-    _persistence passes complex(beta), so an int, float or complex beta of
-    equal value shares one entry.
+    _persistence passes complex(beta), so equal int, float and complex betas
+    share one entry.
     """
     R, cos_phi, Ng, e_gs = _site_matrix(kind, M, N, n)
     b = complex(beta)
@@ -372,17 +384,28 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta) -> tuple[complex, f
     shift = float(np.max(log_w.real))
     A = R * np.exp((log_w - shift) / 2)
     H = A @ A.T  # = R W R^T; one buffer on both sides, so numpy runs a single syrk
-    G = _with_border(_with_border(H, N, Ng).conj().T, N, Ng).conj().T  # T H T^H for C = T R
-    log_det, ratio = _log_det(G, hermitian=real_beta)
+    # C = T R, T the row fold of _with_border, so G = T H T^H = (T (T H)^H)^H: two folds cost
+    # far less than T @ H @ T^H, whose dense complex products match the syrk at N = 100
+    G = H if kind == "ferro" else _with_border(_with_border(H, N, Ng).conj().T, N, Ng).conj().T
+    log_det, ratio = _log_det(G, real_beta, border=_plane_waves(n) if kind == "domain_wall" and n else None)
     return log_det + N * shift + b * e_gs - (N + Ng) * math.log(M + 1), ratio
 
 
-def _log_det(G: np.ndarray, hermitian: bool) -> tuple[complex, float]:
-    """(log det G, max/min of the squared Cholesky diagonal, or NaN without Cholesky)."""
+def _log_det(G: np.ndarray, hermitian: bool, border: np.ndarray | None = None) -> tuple[complex, float]:
+    """(log det G, max/min of the squared Cholesky diagonal, or NaN without Cholesky).
+
+    With a border B, the last len(B) pivots are those of B times G's last rows:
+    of their Schur complement B L_bb (B L_bb)^H, where G = L L^H.
+    """
     if hermitian:
         try:
-            diag2 = np.abs(np.diagonal(np.linalg.cholesky(G))) ** 2
-            return complex(np.sum(np.log(diag2))), float(np.max(diag2) / np.min(diag2))
+            L = np.linalg.cholesky(G)
+            diag2 = np.abs(np.diagonal(L)) ** 2
+            log_det = complex(np.sum(np.log(diag2)))
+            if border is not None:
+                BL = border @ L[-len(border):, -len(border):]
+                diag2[-len(border):] = np.abs(np.diagonal(np.linalg.cholesky(BL @ BL.conj().T))) ** 2
+            return log_det, float(np.max(diag2) / np.min(diag2))
         except np.linalg.LinAlgError:
             pass
     sign, log_abs = np.linalg.slogdet(G)

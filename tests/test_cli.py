@@ -161,15 +161,14 @@ def test_count_output_bytes_pinned(command, capsys):
 # 70 and 100, were re-recorded when every box count became one log1p sum, which
 # prints the exact count's log where a Barnes G-ratio was off by ~1e-10.  The
 # domain-wall (200,16) entry was re-recorded when the determinant path went to
-# real arithmetic: its exact_log column moved by at most 1.4e-11 relative.  At
-# (200,16,5,3) it moved from 4.2e-13 to 3.8e-14 off a 40-digit Gram value; at
-# (200,16,5,20), whose Gram has a Cholesky-diagonal ratio of 1.7e7 and a
-# first-order rounding bound of 3.5e-10 in log, from 5.5e-13 to 8.8e-10 off
+# real arithmetic.  Its exact_log column moved toward 50-digit Gram values, to
+# within 2e-14 of them: (n, beta) = (2,3) from 5.6e-14 off, (5,3) from -4.2e-13
+# and (5,20) from 5.5e-13; (2,20) prints the same digits
 PINNED_ASYM_OUTPUTS = {
     "asym ferro --M 60 --N 6 --n 1,3 --beta 8,40 --exact-max-M 60":
         "ee69a3a85b91043db290f5e64fe2f96617e0ce55fa233a61d287d5e34052403e",
     "asym domain_wall --M 200 --N 16 --n 2,5 --beta 3,20 --exact-max-M 200":
-        "a93eb46a79db459e5e10e8e62d4b842cc825a9913728631817e2cb5dbe492ce4",
+        "09d570605d0698842b0a8ad71f2c4eb34a66b67f4b5ce212a0fa38d7f58035fb",
     "asym ferro --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
         "36baa4dd34b40eb70e91f4ee967dfe57453d0ce10f89343ab2f275e54aaa9499",
     "asym domain_wall --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
@@ -191,16 +190,17 @@ def test_asym_output_bytes_pinned(command, capsys):
 # correlator tables on M = 1000 with N = 60 or a domain wall were re-recorded
 # when the determinant path went to real arithmetic (phase-free Dirichlet
 # rows, one real Gram product per beta): their values moved in the last
-# printed digits, by at most 1.7e-11 relative, toward 32-digit Gram values
+# printed digits, by at most 1.7e-11 relative, to within 1.8e-13 of 32-digit
+# Gram values, from up to 1.7e-11 off
 PINNED_DET_OUTPUTS = {
     "correlator ferro --M 1000 --N 60 --n 1,3 --beta 0.5,3":
         "8941a671dc41281c446d4eb73e83bf03c2a0b3e28b78a48649eb09464ceda9fc",
     "correlator domain_wall --M 1000 --N 60 --n 1,3 --beta 0.5,3":
-        "0bcb083c7658b6556596a43df77030f885c1fa44c395a268f048a671a2dc75c3",
+        "86fba67c20f0e21d88837e17e970107106e863294eeba861a46d51a10a474409",
     "correlator ferro --M 1000 --N 100 --n 3 --beta 1":
         "5ae46ee22cfda2488d87b0cd522573e660fdc54c69167e0a3f554b89991935b2",
     "correlator domain_wall --M 1000 --N 100 --n 3 --beta 1":
-        "630dd39b7668be5ece5262b5877b0e540bea4e16fa275b990748768136482cb9",
+        "5caf4138220255fc43acfd420568feeb29c16d45ddea9fa1bafe44c38748828f",
     "asym ferro --M 400 --N 40 --n 2,5 --beta 1,6 --exact-max-M 400":
         "4d37fc53fdb2d8822b54e00f0d4fce3df474cf1a9d341690f7c56b4d4ce82f3f",
 }
@@ -323,7 +323,8 @@ class TestAsymCmd:
 
     def test_status_flags_bad_exact_values(self, capsys):
         # (60,20,3,40) overflowed in linear space and is now evaluated in log
-        # space; (24,20,1,40) is finite but ill-conditioned and must say so
+        # space; (24,20,1,40) is ill-conditioned, prints a wrong value of 0
+        # (an exact zero LU pivot) and must say so
         _, out = run_cli(
             ["asym", "ferro", "--M", "60", "--N", "20", "--n", "3", "--beta", "1,40", "--exact-max-M", "60"],
             capsys,
@@ -334,7 +335,7 @@ class TestAsymCmd:
         assert float(row["exact_log"]) == pytest.approx(-3.5521447278, abs=1e-7)
         _, out = run_cli(["asym", "ferro", "--M", "24", "--N", "20", "--n", "1", "--beta", "40"], capsys)
         row = list(csv.DictReader(io.StringIO(out)))[0]
-        assert row["status"] == "unreliable"
+        assert row["status"] == "unreliable" and row["exact_log"] == "nonpositive"
 
     def test_pieces_sum_to_estimate(self, capsys):
         _, out = run_cli(["asym", "domain_wall", "--M", "30", "--N", "3", "--n", "1", "--beta", "60"], capsys)

@@ -485,10 +485,37 @@ class TestGramDriver:
                 assert ratio <= xx0core.PIVOT_RATIO_WARNING
 
     def test_matches_extended_precision_gram(self):
-        # 40-digit Gram values; the domain wall at n = 1 has odd differences 2m_a - 2m_j
-        for kind, M, N, n in (("domain_wall", 400, 10, 1), ("ferro", 400, 10, 3)):
-            log_value, _ = _gram_log_value(kind, M, N, n, 0.5)
-            assert abs(log_value.real - _mp_gram_log(kind, M, N, n, 0.5)) <= 1e-13, kind
+        # 40-digit Gram values; the domain wall at n = 1 has odd differences
+        # 2m_a - 2m_j.  At (200,16,5,20) the plane-wave rows are nearly
+        # dependent where the weight sits: a Gram of them is 1e-10 off
+        cases = (("domain_wall", 400, 10, 1, 0.5), ("ferro", 400, 10, 3, 0.5), ("domain_wall", 200, 16, 5, 20.0))
+        for kind, M, N, n, beta in cases:
+            log_value, _ = _gram_log_value(kind, M, N, n, beta)
+            assert abs(log_value.real - _mp_gram_log(kind, M, N, n, beta)) <= 1e-13, (kind, M, N, n, beta)
+
+    def test_border_rows_span_the_plane_waves(self):
+        # B times the border rows u_j exp(i(M+1-n) phi/2) gives the plane waves
+        # exp(-ir phi), r = n-1..0, with the column phase exp(iM phi/2)
+        for M, N in ((7, 6), (40, 12)):
+            for n in range(1, N):
+                R, _, Ng, _ = xx0core._site_matrix("domain_wall", M, N, n)
+                phi = pi * xx0core._twice_m(M, N) / (M + 1)
+                B = xx0core._plane_waves(n)
+                want = np.exp(1j * np.multiply.outer(M / 2 - np.arange(n - 1, -1, -1), phi))
+                assert np.max(np.abs(B @ (R[Ng:N] + 1j * R[N:]) - want)) <= 1e-12, (M, N, n)
+                assert abs(abs(np.linalg.det(B)) - 1) <= 1e-12, n
+
+    def test_estimate_is_the_plane_wave_grams(self):
+        # the conditioning estimate is the pivot ratio of the Gram of C with
+        # plane-wave border rows, whose calibration the warning keeps
+        for M, N, n, beta in ((200, 16, 5, 20.0), (400, 10, 6, 30.0), (60, 6, 3, 8.0)):
+            R, cos_phi, Ng, _ = xx0core._site_matrix("domain_wall", M, N, n)
+            C = xx0core._with_border(R, N, Ng).astype(complex)
+            C[Ng:] = xx0core._plane_waves(n) @ C[Ng:]
+            w = np.exp(beta * (cos_phi - cos_phi.max()))
+            diag2 = np.abs(np.diagonal(np.linalg.cholesky((C * w) @ C.conj().T))) ** 2
+            _, ratio = _gram_log_value("domain_wall", M, N, n, beta)
+            assert ratio == pytest.approx(np.max(diag2) / np.min(diag2), rel=1e-5), (M, N, n, beta)
 
     def test_dirichlet_table_is_the_site_sum(self):
         # every difference |d| < 2(M+1) of both parities, on even and odd M;
@@ -529,14 +556,17 @@ class TestGramDriver:
         assert not got.warnings and got.value.real == pytest.approx(0.63862107549, rel=1e-10)
         got = persistence_domain_wall(1000, 100, 3, 1.0)
         assert not got.warnings and got.value.real == pytest.approx(0.79522965, rel=1e-8)
-        # ill-conditioned: still finite and wrong, and it says so
-        assert any("ill-conditioned" in w for w in persistence_ferro(24, 20, 1, 40.0).warnings)
+        # ill-conditioned: slogdet meets an exact zero pivot, so the value is a
+        # wrong 0 that only the warning tells apart from the exact 0 of no room
+        got = persistence_ferro(24, 20, 1, 40.0)
+        assert got.value == 0 and got.log_abs == -math.inf
+        assert any("ill-conditioned" in w for w in got.warnings)
 
     def test_nan_conditioning_estimate_warns(self, monkeypatch):
         with np.errstate(invalid="ignore"):
             _, ratio = _log_det(np.array([[2.0, 1.0], [1.0, math.nan]]), hermitian=True)
         assert math.isnan(ratio)
-        monkeypatch.setattr(xx0core, "_log_det", lambda G, hermitian: (0j, math.nan))
+        monkeypatch.setattr(xx0core, "_log_det", lambda G, hermitian, border=None: (0j, math.nan))
         # the cached Gram values sit in front of _log_det: empty the caches so
         # the patch is reached, and again after, so its values do not outlive it
         xx0core._gram_log_value.cache_clear()
@@ -644,9 +674,9 @@ class TestDeterminantCaches:
             tables.append(lo)
             return _f(M, lo, d)
 
-        def count_log_det(G, hermitian, _f=xx0core._log_det):
+        def count_log_det(G, hermitian, border=None, _f=xx0core._log_det):
             gram.append(G.shape)
-            return _f(G, hermitian)
+            return _f(G, hermitian, border)
 
         monkeypatch.setattr(xx0core, "_dirichlet", count_tables)
         monkeypatch.setattr(xx0core, "_log_det", count_log_det)
