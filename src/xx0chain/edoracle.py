@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetError
 from .schur import schur_jacobi_trudi
-from .xx0core import ChainParams, _check_correlator
+from .xx0core import ChainParams, _check_correlator, _real_beta
 
 __all__ = [
     "SectorBasis",
@@ -228,18 +228,13 @@ def _coordinates(spectrum: _Spectrum, x: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _real_if_real(beta):
-    beta = complex(beta)
-    return beta if beta.imag else beta.real
-
-
-def _boltzmann_sum(spectrum: _Spectrum, beta, c: np.ndarray) -> complex:
+def _boltzmann_sum(spectrum: _Spectrum, beta: float, c: np.ndarray) -> complex:
     """sum_j c_j exp(-beta (w_j - E0)); an overflow comes out inf or NaN for _times_exp to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.exp(-beta * (spectrum.w - spectrum.E0)) @ c
 
 
-def _times_exp(value: complex, exponent: complex, beta) -> complex:
+def _times_exp(value: complex, exponent: float, beta: float) -> complex:
     """value * exp(exponent), or OverflowError beyond double range; never inf or NaN."""
     try:
         out = complex(value) * cmath.exp(exponent)
@@ -252,15 +247,16 @@ def _times_exp(value: complex, exponent: complex, beta) -> complex:
 
 def thermal_operator(M: int, N: int, beta) -> np.ndarray:
     """exp(-beta * H) = Y^H exp(-beta (w - E0)) Y exp(-beta E0), Y the eigen-coordinates of the identity;
-    real for real beta, OverflowError beyond double range.  For tests; the oracle never forms it."""
+    a real array, OverflowError beyond double range.  beta is real; anything else raises ValueError.
+    For tests; the oracle never forms it."""
+    beta = _real_beta(beta)
     spectrum = _eigh_cached(M, N)
-    beta = _real_if_real(beta)
     Y = _coordinates(spectrum, np.eye(len(spectrum.psi)))
     with np.errstate(over="ignore", invalid="ignore"):
         out = (Y.conj().T * np.exp(-beta * (spectrum.w - spectrum.E0))) @ Y * np.exp(-beta * spectrum.E0)
     if not np.isfinite(out).all():
         raise OverflowError(f"thermal operator beyond double range at beta = {beta}")
-    return out if isinstance(beta, complex) else out.real
+    return out.real
 
 
 def build_state_vector(u, M: int, N: int) -> np.ndarray:
@@ -327,10 +323,11 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
     H's lowest eigenvector; both ratios are quadratic in it, so its scale and sign cancel.
     Each sector's lowest energy E0 is factored out of its Boltzmann weights, so the ferro
     ratio is sum |c_j|^2 exp(-beta (w_j - E0)) / |psi|^2 over the eigen-coordinates c_j of
-    P psi; a value beyond double range raises OverflowError.  Real beta gives real values.
-    The chain and n are checked as persistence_ferro and persistence_domain_wall check them.
+    P psi; a value beyond double range raises OverflowError.  beta is real, and anything else
+    raises ValueError for every kind; the values are real, as complex numbers with a zero imaginary
+    part.  The chain and n are checked as persistence_ferro and persistence_domain_wall check them.
     """
-    beta = _real_if_real(beta)
+    beta = _real_beta(beta)
     if kind in ("ferro", "domain_wall"):
         _check_correlator(kind, M, N, n)
         c2, gap = _overlaps(kind, M, N, n)
@@ -345,8 +342,6 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
         except KeyError as exc:
             raise ValueError(f"endpoint {exc.args[0]} must be strictly decreasing sites in 0..{M}") from None
         y = _coordinates(spectrum, ends)
-        amplitude = _boltzmann_sum(spectrum, beta, y[:, 0].conj() * y[:, 1])
-        if not isinstance(beta, complex):
-            amplitude = amplitude.real  # H is real
+        amplitude = _boltzmann_sum(spectrum, beta, y[:, 0].conj() * y[:, 1]).real  # H is real
         return _times_exp(amplitude, -beta * spectrum.E0, beta)
     raise ValueError(f"unknown correlator kind {kind!r}")

@@ -83,6 +83,16 @@ class TestCorrelator:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert float(rows[0]["value_re"]) == pytest.approx(0.75)
 
+    def test_efp_ignores_beta(self, capsys):
+        # efp is the beta = 0 sine-kernel form factor on every row, whatever --beta says
+        rc, out = run_cli(["correlator", "efp", "--M", "100", "--N", "30", "--n", "20", "--beta", "0,5"], capsys)
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["beta"] for r in rows] == ["0", "5"]
+        assert rows[0]["value_re"] == rows[1]["value_re"] == "{:.15g}".format(
+            xx0core.efp_formfactor(xx0core.ground_state(100, 30), 20)
+        )
+
 
 class TestCount:
     def test_macmahon(self, capsys):

@@ -297,10 +297,10 @@ class TestOracleCorrelators:
         # x^H exp(-beta H) x from a dense eigendecomposition of the whole sector
         def expectation(M, N, beta, x):
             w, v = np.linalg.eigh(build_hamiltonian(M, N))
-            return np.vdot(x, (v * np.exp(-complex(beta) * w)) @ (v.T @ x))
+            return np.vdot(x, (v * np.exp(-beta * w)) @ (v.T @ x))
 
         for M, N, n in [(6, 2, 1), (7, 3, 2), (8, 3, 3)]:
-            for beta in (0.0, 1.5, 12.0, 0.7 + 0.4j):
+            for beta in (0.0, 1.5, 12.0):
                 gs = ground_state(M, N)
                 psi = bethe_vector(gs)
                 ppsi = projector_empty_sites(M, N, n) * psi
@@ -369,7 +369,7 @@ class TestStatesFromTheHamiltonian:
 BLOCK_SECTORS = [(M, N) for M in range(13) for N in range(M + 2) if comb(M + 1, N) <= 1000] + [
     (12, 6), (300, 0), (300, 301), (80, 1), (80, 80),
 ]
-ORACLE_BETAS = (0.0, 3.0, 40.0, 0.7 + 0.4j)
+ORACLE_BETAS = (0.0, 3.0, 40.0)
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +386,7 @@ def dense_eigh():
 
 def dense_expectation(eigh, M, N, beta, x):
     w, v = eigh(M, N)
-    return np.exp(-complex(beta) * w) @ np.abs(v.T @ x) ** 2
+    return np.exp(-beta * w) @ np.abs(v.T @ x) ** 2
 
 
 def oracle_grid():
@@ -464,8 +464,7 @@ class TestMomentumBlocks:
                 want /= dense_expectation(dense_eigh, M, Ng, beta, psi)
                 got = oracle_correlator(kind, M, N, n, beta)
                 assert abs(cmath.log(got / want)) <= 1e-12, (kind, M, N, n, beta, got, want)
-                if isinstance(beta, float):
-                    assert got.imag == 0.0, (kind, M, N, n, beta)
+                assert got.imag == 0.0, (kind, M, N, n, beta)
 
     def test_walker_matches_the_dense_reference(self, dense_eigh):
         rng = np.random.default_rng(18)
@@ -474,16 +473,15 @@ class TestMomentumBlocks:
             configs = edoracle.sector_basis(M, N).configurations
             for i, j in rng.integers(len(configs), size=(3, 2)):
                 for beta in ORACLE_BETAS:
-                    want = (v[i] * np.exp(-complex(beta) * w)) @ v[j]
+                    want = (v[i] * np.exp(-beta * w)) @ v[j]
                     got = oracle_correlator("walker", M, N, beta=beta, endpoints=(configs[i], configs[j]))
                     assert abs(got - want) <= 1e-12 * abs(cmath.exp(-beta * w[0])), (M, N, i, j, beta)
-                    if isinstance(beta, float):
-                        assert got.imag == 0.0, (M, N, i, j, beta)
+                    assert got.imag == 0.0, (M, N, i, j, beta)
 
     def test_thermal_operator_is_the_dense_exponential(self, dense_eigh):
         for M, N in [(7, 3), (11, 6), (5, 3), (9, 0), (9, 10)]:
             w, v = dense_eigh(M, N)
-            for beta in (2.5, 200.0, 0.7 + 0.4j):
+            for beta in (2.5, 200.0):
                 try:
                     scale = abs(cmath.exp(-beta * w[0]))
                 except OverflowError:  # (11,6) at beta = 200: exp(-beta E0) = e^773
@@ -491,7 +489,8 @@ class TestMomentumBlocks:
                         thermal_operator(M, N, beta)
                     continue
                 want = (v * np.exp(-beta * w)) @ v.T
-                assert np.max(np.abs(thermal_operator(M, N, beta) - want)) <= 1e-12 * scale, (M, N, beta)
+                got = thermal_operator(M, N, beta)
+                assert got.dtype == float and np.max(np.abs(got - want)) <= 1e-12 * scale, (M, N, beta)
 
     def test_cold_sector_beyond_the_grid(self):
         from xx0chain.xx0core import persistence_ferro
