@@ -6,10 +6,12 @@ and the n-site down-spin insertion are whole-array moves, and every correlator
 is a literal matrix element on H's eigenpairs.  H commutes with the translation
 of the ring, so its eigenpairs are taken one lattice momentum at a time: dense
 blocks on the plane waves of the translation orbits (Sandvik, AIP Conf. Proc.
-1297 (2010), sec. 4), built from the hops of the orbit representatives alone,
-one eigh for each pair of conjugate momenta, and reached from a sector vector by
-one FFT along each orbit.  A correlator's beta-independent overlaps are kept
-once per chain.  The ground state is H's lowest eigenvector, unique by
+1297 (2010), sec. 4), built from the hops of the orbit representatives alone.
+The ring's reflection composed with complex conjugation keeps each momentum, so
+on the waves it leaves fixed every block is real symmetric: one real eigh for
+each pair of conjugate momenta, reached from a sector vector by one FFT along
+each orbit and two real products.  A correlator's beta-independent overlaps
+are kept once per chain.  The ground state is H's lowest eigenvector, unique by
 Perron-Frobenius (off-diagonal entries <= 0, connected hopping graph), so
 nothing here shares code with the formulas it checks.  build_state_vector is
 the paper's Schur-function form of the Bethe states, under test against H; the
@@ -42,7 +44,9 @@ __all__ = [
 ]
 
 SECTOR_BUDGET = 5000
-ED_CACHE_SIZE = 4  # sectors or chains per cache; within SECTOR_BUDGET <= 20 MB per sector, 40 kB per chain
+# sectors or chains per cache; within SECTOR_BUDGET a sector keeps <= 6.1 MiB and its cold build
+# peaks at <= 13.5 MiB, both at (15,11); a chain keeps 40 kB
+ED_CACHE_SIZE = 4
 
 
 def _colex_rank(M: int, rows: np.ndarray) -> np.ndarray:
@@ -150,12 +154,15 @@ def _translation_orbits(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
 class _Spectrum:
     """H on one sector, diagonalized one lattice momentum k at a time (read-only arrays).
 
-    table and periods are _translation_orbits(M, N), and L = M + 1.  Each entry (ks, orbits, Vh) of
-    blocks covers the momenta ks that live on the same orbits (see _eigh_cached): its k <= L/2
-    ascending, then L - k for those with 2k != 0 mod L.  Vh[i] is the conjugate transpose of the
-    unitary that diagonalizes H_k for k = ks[i] on those orbits' plane waves.  Blocks come by least
-    k, k = 0 first; w holds every energy in the order _coordinates lists eigen-coordinates.  (E0,
-    psi) is the lowest eigenpair, with psi positive and of unit length.
+    table and periods are _translation_orbits(M, N), and L = M + 1.  Each entry (ks, orbits,
+    partners, basis, U) of blocks covers the momenta ks that live on the same orbits (see
+    _eigh_cached): its G = len(U) momenta k <= L/2 ascending, then L - k for those with 2k != 0 mod
+    L.  partners[c] is the mirror image of orbits[c], and basis[:, g] holds the waves on which H_k
+    is real for k = ks[g]: column c is basis[0, g, c] |orbits[c], k> + basis[1, g, c] |partners[c],
+    k> (the second term 0 when the orbit is its own mirror image).  U[g] is the real orthogonal
+    matrix that diagonalizes H_k on them; L - k takes the same U on the conjugate waves.  Blocks
+    come by least k, k = 0 first; w holds every energy in the order _coordinates lists
+    eigen-coordinates.  (E0, psi) is the lowest eigenpair, with psi positive and of unit length.
     """
 
     table: np.ndarray
@@ -168,14 +175,19 @@ class _Spectrum:
 
 @lru_cache(maxsize=ED_CACHE_SIZE)
 def _eigh_cached(M: int, N: int) -> _Spectrum:
-    """H's eigenpairs, one momentum block at a time.
+    """H's eigenpairs, one momentum block at a time, each block a real symmetric matrix.
 
     With L = M + 1, the plane wave |a, k> = p_a^(-1/2) sum_{l < p_a} e^(-2 pi i k l / L) T^l |a> of
     a representative a of period p_a exists when k p_a = 0 mod L, that is when L / gcd(k, L) divides
     p_a.  On those waves H is block diagonal, with H_k[b, a] = sum of -1/2 e^(2 pi i k t / L)
     sqrt(p_a / p_b) over the hops from a to the rows c = T^t b of the representatives' hop list.
-    The amplitudes are real, so H_(L-k) = conj(H_k) shares H_k's eigh.  The ground state is
-    translation invariant (Perron-Frobenius), so it lies in the k = 0 block.
+    The reflection s -> -s mod L maps a to T^(t_a) a', a' another representative, so the reflection
+    times complex conjugation, Theta, commutes with H and maps |a, k> to e^(2 pi i k t_a / L) |a', k>.
+    The block is real symmetric on waves Theta fixes: e^(i pi k t_a / L) |a, k> when a' = a, and
+    (|a, k> + e^(2 pi i k t_a / L) |a', k>) / sqrt 2 and i (|a, k> - e^(2 pi i k t_a / L) |a', k>) /
+    sqrt 2 for a pair a < a'.  The amplitudes are real, so H_(L-k) = conj(H_k) takes the same real
+    eigenvectors on the conjugate basis.  The ground state is translation invariant
+    (Perron-Frobenius), so it lies in the k = 0 block.
     """
     L, D = M + 1, comb(M + 1, N)
     table, periods = _translation_orbits(M, N)
@@ -185,6 +197,8 @@ def _eigh_cached(M: int, N: int) -> _Spectrum:
     a, c = _hops(M, N, table[:, 0])
     b, t = orbit[c], shift[c]
     amp = -0.5 * np.sqrt(periods[a] / periods[b])
+    reflected = _rank_sites(M, -sector_basis(M, N).configurations[table[:, 0]] % L)
+    partner, t_reflect = orbit[reflected], shift[reflected]  # a -> T^(t_a) a'
     groups = {}  # k <= L/2 by the orbits they live on
     for k, on in enumerate(periods % (L // np.gcd(np.arange(L // 2 + 1), L))[:, None] == 0):
         groups.setdefault(on.tobytes(), []).append(k)
@@ -193,21 +207,30 @@ def _eigh_cached(M: int, N: int) -> _Spectrum:
         ks, orbits = np.array(ks), np.flatnonzero(np.frombuffer(on, dtype=bool))
         if not len(orbits):
             continue
-        G, n = len(ks), len(orbits)
+        G, n, col = len(ks), len(orbits), np.arange(len(orbits))
         pos = np.full(R, -1)
-        pos[orbits] = np.arange(n)
+        pos[orbits] = col
+        mate = pos[partner[orbits]]
+        half = np.exp(1j * np.pi * (np.outer(ks, t_reflect[orbits]) % (2 * L)) / L)  # e^(i pi k t_a / L)
+        own = np.where(mate == col, half, np.where(mate > col, 1, -1j * half**2) / np.sqrt(2))
+        other = np.where(mate == col, 0, np.where(mate > col, half**2, 1j) / np.sqrt(2))
         keep = (pos[a] >= 0) & (pos[b] >= 0)
-        cell = (np.arange(G)[:, None] * n * n + pos[b[keep]] * n + pos[a[keep]]).ravel()
-        hop = (amp[keep] * np.exp(2j * np.pi * (np.outer(ks, t[keep]) % L) / L)).ravel()
-        Hk = np.bincount(cell, hop.real, G * n * n) + 1j * np.bincount(cell, hop.imag, G * n * n)
-        w, V = np.linalg.eigh(Hk.reshape(G, n, n))
+        pa, pb = pos[a[keep]], pos[b[keep]]
+        hop = amp[keep] * np.exp(2j * np.pi * (np.outer(ks, t[keep]) % L) / L)  # (G, hops)
+        # orbit q lies in column q and in column mate[q]; a hop a -> b adds to four cells
+        cols, coef = np.stack((col, mate)), np.stack((own, other[:, mate]))
+        cell = (np.arange(G)[:, None] * n + cols[:, None, None, pb]) * n + cols[None, :, None, pa]
+        term = (coef[:, None, :, pb].conj() * hop * coef[None, :, :, pa]).real
+        Hk = np.bincount(cell.ravel(), term.ravel(), G * n * n).astype(float, copy=False)  # int if no hops
+        w, U = np.linalg.eigh(Hk.reshape(G, n, n))
         if ks[0] == 0:  # the k = 0 block holds every orbit
-            v = (V[0, :, 0] / np.sign(V[0, 0, 0])).real  # the phase that makes it positive
+            v = (own[0] * U[0, :, 0] + (other[0] * U[0, :, 0])[mate]).real
             psi = np.empty(D)
-            psi[table] = (v / np.sqrt(periods))[:, None]
+            psi[table] = (v / np.sign(v[0]) / np.sqrt(periods))[:, None]
             E0 = float(w[0, 0])
-        Vh, mirror = V.conj().swapaxes(1, 2), 2 * ks % L != 0  # H_(L-k) = conj(H_k)
-        blocks.append((np.concatenate((ks, L - ks[mirror])), orbits, np.concatenate((Vh, Vh[mirror].conj()))))
+        mirror = 2 * ks % L != 0  # H_(L-k) = conj(H_k)
+        ks_all = np.concatenate((ks, L - ks[mirror]))
+        blocks.append((ks_all, orbits, partner[orbits], np.stack((own, other)), U))
         energies += [w.ravel(), w[mirror].ravel()]
     spectrum = _Spectrum(table, periods, tuple(blocks), np.concatenate(energies), E0, psi)
     for array in (table, periods, spectrum.w, psi, *(x for block in blocks for x in block)):
@@ -218,14 +241,21 @@ def _eigh_cached(M: int, N: int) -> _Spectrum:
 def _coordinates(spectrum: _Spectrum, x: np.ndarray) -> np.ndarray:
     """<j|x> for every eigenvector j, in the order of spectrum.w, of a vector x (D,) or batch (D, m).
 
-    <a, k|x> = sqrt(p_a) * ifft along the orbit of x[T^l a], then Vh per momentum block.
+    <a, k|x> = sqrt(p_a) * ifft along the orbit of x[T^l a], gathered onto each block's real basis
+    (conjugated for k <= L/2), then U^T on its real and imaginary parts.
     """
-    X = np.fft.ifft(x[spectrum.table], axis=1) * np.sqrt(spectrum.periods).reshape(-1, *(1,) * x.ndim)
+    m = x.size // len(x)
+    X = np.fft.ifft(x.reshape(-1, m)[spectrum.table], axis=1) * np.sqrt(spectrum.periods)[:, None, None]
+    X = X.swapaxes(0, 1)  # (L, R, m)
     parts = []
-    for ks, orbits, Vh in spectrum.blocks:
-        c = np.moveaxis(X[orbits[:, None], ks], 1, 0)  # (G, n[, m])
-        parts.append((Vh @ c.reshape(*c.shape[:2], -1)).reshape(-1, *x.shape[1:]))
-    return np.concatenate(parts)
+    for ks, orbits, partners, basis, U in spectrum.blocks:
+        G, first = len(U), int(ks[0] == 0)
+        mirror = slice(first, first + len(ks) - G)  # the k with 2k != 0 mod L, a run of ks[:G]
+        for k, (own, other), Uk in ((ks[:G], basis.conj(), U), (ks[G:], basis[:, mirror], U[mirror])):
+            y = own[..., None] * X[k[:, None], orbits] + other[..., None] * X[k[:, None], partners]
+            z = Uk.swapaxes(1, 2) @ np.concatenate((y.real, y.imag), axis=2)  # (g, n, 2m)
+            parts.append((z[..., :m] + 1j * z[..., m:]).reshape(-1, m))
+    return np.concatenate(parts).reshape(-1, *x.shape[1:])
 
 
 def _boltzmann_sum(spectrum: _Spectrum, beta: float, c: np.ndarray) -> complex:

@@ -389,6 +389,19 @@ def dense_expectation(eigh, M, N, beta, x):
     return np.exp(-beta * w) @ np.abs(v.T @ x) ** 2
 
 
+def block_eigenvectors(L, block):
+    """(k, V U) for each momentum k of a stored block: the complex eigenvectors on the orbits' plane
+    waves, V holding the block's basis of k (the conjugate basis of k' = L - k for a mirrored k)."""
+    ks, orbits, partners, basis, U = block
+    n, cols = len(orbits), np.arange(len(orbits))
+    for k in ks:
+        g = np.flatnonzero(ks[: len(U)] == min(k, L - k))[0]
+        V = np.zeros((n, n), dtype=complex)
+        V[cols, cols] = basis[0, g]
+        V[np.searchsorted(orbits, partners), cols] += basis[1, g]
+        yield k, (V if 2 * k <= L else V.conj()) @ U[g]
+
+
 def oracle_grid():
     """(kind, M, N, n) over BLOCK_SECTORS with M <= 12: ferro for every n that leaves a state, the
     domain wall for every n whose ground-state sector is in the grid too."""
@@ -421,15 +434,15 @@ class TestMomentumBlocks:
         # each k holds one block, on the orbits with k * period = 0 mod L, and the blocks fill the sector
         for M, N in BLOCK_SECTORS:
             L, spectrum = M + 1, edoracle._eigh_cached(M, N)
-            assert sum(len(ks) * len(orbits) for ks, orbits, _ in spectrum.blocks) == comb(L, N), (M, N)
+            assert sum(len(ks) * len(orbits) for ks, orbits, *_ in spectrum.blocks) == comb(L, N), (M, N)
             for k in range(L):
                 lives = np.flatnonzero(k * spectrum.periods % L == 0).tolist()
-                holding = [orbits.tolist() for ks, orbits, _ in spectrum.blocks if k in ks]
+                holding = [orbits.tolist() for ks, orbits, *_ in spectrum.blocks if k in ks]
                 assert holding == ([lives] if lives else []), (M, N, k)
 
     def test_mirrored_momenta_diagonalize_their_blocks(self, monkeypatch):
-        # eigh runs for k <= L/2 alone; Vh of L - k must diagonalize H_(L-k) on the plane waves of
-        # the literal hop rule, p^(-1/2) sum_l e^(-2 pi i k l / L) T^l |a>
+        # eigh runs for k <= L/2 alone; the eigenvectors of every k, L - k among them, must diagonalize
+        # H_k on the plane waves of the literal hop rule, p^(-1/2) sum_l e^(-2 pi i k l / L) T^l |a>
         eigh, batches = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: batches.append(len(a)) or eigh(a))
         mirrored = 0
@@ -438,21 +451,29 @@ class TestMomentumBlocks:
             edoracle._eigh_cached.cache_clear()
             batches.clear()
             spectrum = edoracle._eigh_cached(M, N)
-            assert sum(batches) == sum(int((ks <= L // 2).sum()) for ks, _, _ in spectrum.blocks), (M, N)
+            assert sum(batches) == sum(int((ks <= L // 2).sum()) for ks, *_ in spectrum.blocks), (M, N)
             start = 0
-            for ks, orbits, Vh in spectrum.blocks:
-                for g, k in enumerate(ks):
+            for block in spectrum.blocks:
+                orbits = block[1]
+                for k, V in block_eigenvectors(L, block):
                     w, start = spectrum.w[start : start + len(orbits)], start + len(orbits)
-                    if 2 * k <= L:
-                        continue
                     B = np.zeros((len(H), len(orbits)), dtype=complex)
                     for j, r in enumerate(orbits):
                         l = np.arange(spectrum.periods[r])
                         B[spectrum.table[r, l], j] = np.exp(-2j * np.pi * k * l / L) / np.sqrt(len(l))
                     Hk = B.conj().T @ H @ B
-                    assert np.max(np.abs(Vh[g] @ Hk @ Vh[g].conj().T - np.diag(w))) <= 1e-13, (M, N, k)
-                    mirrored += 1
+                    assert np.max(np.abs(V.conj().T @ Hk @ V - np.diag(w))) <= 1e-13, (M, N, k)
+                    mirrored += 2 * k > L
         assert mirrored > 0
+
+    def test_blocks_are_real_symmetric(self, monkeypatch):
+        # the waves the reflection fixes make every momentum block real: eigh never sees a complex array
+        eigh, dtypes = np.linalg.eigh, set()
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: dtypes.add(a.dtype) or eigh(a))
+        for M, N in BLOCK_SECTORS:
+            edoracle._eigh_cached.cache_clear()
+            edoracle._eigh_cached(M, N)
+        assert dtypes == {np.dtype(np.float64)}
 
     def test_ferro_and_domain_wall_match_the_dense_reference(self, dense_eigh):
         for kind, M, N, n in oracle_grid():
@@ -517,6 +538,15 @@ class TestMomentumBlocks:
         edoracle._overlaps.cache_clear()
         peak = self._traced_peak(args)
         assert peak < 4 * 2**20, (args, peak)
+
+    def test_cold_silent_fault_sector_fits_in_real_blocks(self):
+        # the 3003-state (14,10) sector: complex blocks and conjugate eigenvectors peaked at 24.5 MiB
+        edoracle.sector_basis.cache_clear()
+        edoracle._eigh_cached.cache_clear()
+        edoracle._overlaps.cache_clear()
+        args = ("ferro", 14, 10, 4, 14.951)
+        peak = self._traced_peak(args)
+        assert peak < 12 * 2**20, (args, peak)
 
     @staticmethod
     def _traced_peak(args):
