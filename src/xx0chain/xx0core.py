@@ -16,13 +16,13 @@ sector parity.
 Both correlators are read off one N x (M+1) site-sum matrix C.  The
 determinant path is the Gram determinant det(C W C^H), W = diag(exp(beta
 cos phi)) (Colomo, Izergin, Korepin & Tognetti, Theor. Math. Phys. 94,
-1993); the spectral path is its Cauchy-Binet expansion, the sum of
-exp(-beta E_S) |det C[:, S]|^2 over the N-subsets S of the momenta, which
-are the Bethe states.  Both work in log space and never form (M+1)^N or
-exp(beta N).  A site sum sum_{k=lo..M} exp(ik(theta - phi)) is a real
-Dirichlet kernel times exp(i(lo+M)(theta - phi)/2), a diagonal unitary on
-either side of C that changes neither determinant, so both paths run on
-C's real rows, windows onto one table of the kernel.
+1993), by Cholesky, or where that fails by a sorted QR of W^(1/2) C^H; the
+spectral path is its Cauchy-Binet expansion, the sum of exp(-beta E_S)
+|det C[:, S]|^2 over the N-subsets S of the momenta, the Bethe states.  Both
+take real logs and never form (M+1)^N or exp(beta N).  A site sum over
+k = lo..M of exp(ik(theta - phi)) is a real Dirichlet kernel times
+exp(i(lo+M)(theta - phi)/2), a diagonal unitary on either side of C that
+changes neither determinant, so both paths run on C's real rows.
 
 Each piece of determinant work is done once per process.  C does not depend
 on beta, and the CLI sweeps beta innermost, so _site_matrix keeps the rows
@@ -35,7 +35,6 @@ still get a fresh CorrelatorResult with their own params.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -369,7 +368,7 @@ def _with_border(X: np.ndarray, N: int, Ng: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)  # holds a chain's correlator and asym grids, both kinds, many times over
-def _gram_log_value(kind: str, M: int, N: int, n: int, beta: float) -> tuple[complex, float]:
+def _gram_log_value(kind: str, M: int, N: int, n: int, beta: float) -> tuple[float, float]:
     """(log of the determinant-path correlator, conditioning estimate).
 
     The correlator is exp(beta E_gs) det(C W C^H) / (M+1)^(N+Ng), C from
@@ -378,8 +377,8 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta: float) -> tuple[com
     U^H for ferro and the kernel / strip / walker block matrix for the domain
     wall, F being the walker table.  H = A A^T = R W R^T, A = R W^(1/2), is one
     real product.  The estimate is that of C with its plane-wave rows for the
-    domain wall, and NaN where slogdet stands in for Cholesky (G not positive
-    definite in double precision); the caller warns on NaN too.
+    domain wall, and NaN where Cholesky fails and a sorted QR of the Gram
+    factor gives the log (Cox & Higham, BIT 38, 1998); the caller warns on NaN too.
     Cached, because `asym` asks again for every value `correlator` printed;
     keyed on _real_beta's float, so equal int, float and real complex betas share it.
     """
@@ -391,27 +390,29 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta: float) -> tuple[com
     # C = T R, T the row fold of _with_border, so G = T H T^H = (T (T H)^H)^H: two folds cost
     # far less than T @ H @ T^H, whose dense complex products match the syrk at N = 100
     G = H if kind == "ferro" else _with_border(_with_border(H, N, Ng).conj().T, N, Ng).conj().T
-    log_det, ratio = _log_det(G, border=_plane_waves(n) if kind == "domain_wall" and n else None)
+    try:
+        log_det, ratio = _log_det(G, border=_plane_waves(n) if kind == "domain_wall" and n else None)
+    except np.linalg.LinAlgError:
+        Y = (A.T if kind == "ferro" else _with_border(A, N, Ng).conj().T)[np.argsort(-cos_phi)]
+        r = np.linalg.qr(Y[:, np.argsort(-np.linalg.norm(Y, axis=0))], mode="r")
+        with np.errstate(divide="ignore"):  # a zero on R's diagonal is a log of -inf
+            log_det, ratio = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r))))), math.nan
     return log_det + N * shift + beta * e_gs - (N + Ng) * math.log(M + 1), ratio
 
 
-def _log_det(G: np.ndarray, border: np.ndarray | None = None) -> tuple[complex, float]:
-    """(log det G, max/min of the squared Cholesky diagonal, or NaN where slogdet stands in for Cholesky).
+def _log_det(G: np.ndarray, border: np.ndarray | None = None) -> tuple[float, float]:
+    """(log det G, max/min of the squared Cholesky diagonal); LinAlgError where G is not positive definite.
 
     With a border B, the last len(B) pivots are those of B times G's last rows:
     of their Schur complement B L_bb (B L_bb)^H, where G = L L^H.
     """
-    try:
-        L = np.linalg.cholesky(G)
-        diag2 = np.abs(np.diagonal(L)) ** 2
-        log_det = complex(np.sum(np.log(diag2)))
-        if border is not None:
-            BL = border @ L[-len(border):, -len(border):]
-            diag2[-len(border):] = np.abs(np.diagonal(np.linalg.cholesky(BL @ BL.conj().T))) ** 2
-        return log_det, float(np.max(diag2) / np.min(diag2))
-    except np.linalg.LinAlgError:
-        sign, log_abs = np.linalg.slogdet(G)
-        return (cmath.log(sign) + log_abs if sign else complex(-math.inf)), math.nan
+    L = np.linalg.cholesky(G)
+    diag2 = np.abs(np.diagonal(L)) ** 2
+    log_det = float(np.sum(np.log(diag2)))
+    if border is not None:
+        BL = border @ L[-len(border):, -len(border):]
+        diag2[-len(border):] = np.abs(np.diagonal(np.linalg.cholesky(BL @ BL.conj().T))) ** 2
+    return log_det, float(np.max(diag2) / np.min(diag2))
 
 
 def _minor_terms(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -477,9 +478,9 @@ def _persistence(kind: str, M: int, N: int, n: int, beta, method: str, max_state
         raise ValueError(f"unknown method {method!r}")
     warnings: list[str] = []
     if n == 0 or N == 0:
-        log_value = 0j  # the identity operator, or no particles for it to act on
+        log_value = 0.0  # the identity operator, or no particles for it to act on
     elif kind == "ferro" and n > M + 1 - N:
-        log_value = complex(-math.inf)  # no room for n empty sites: the projector kills the state
+        log_value = -math.inf  # no room for n empty sites: the projector kills the state
     elif method == "determinant":
         log_value, ratio = _gram_log_value(kind, M, N, n, b)
         if not ratio <= PIVOT_RATIO_WARNING:  # a NaN estimate is ill-conditioned too
@@ -490,11 +491,9 @@ def _persistence(kind: str, M: int, N: int, n: int, beta, method: str, max_state
         log_value = _spectral_log_value(kind, M, N, n, b)
     with np.errstate(over="ignore"):
         value = complex(np.exp(np.complex128(log_value)))
-    if not cmath.isfinite(value):
+    if not math.isfinite(value.real):  # the exp of a real log has imaginary part 0
         warnings.append(f"non-finite value {value}")
-    elif abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        warnings.append(f"imaginary part {value.imag:.3e} exceeds reality tolerance")
-    return CorrelatorResult(value, method, (M, N, n, beta), tuple(warnings), log_value.real)
+    return CorrelatorResult(value, method, (M, N, n, beta), tuple(warnings), log_value)
 
 
 def persistence_ferro(
@@ -503,11 +502,12 @@ def persistence_ferro(
     """Thermal correlator of the n-site empty-string projector on the ground state.
 
     C holds N site-sum rows over sites n..M.  The determinant path is the
-    Gram determinant det(C W C^H) and warns when it is ill-conditioned; the
-    spectral path is its Cauchy-Binet expansion over the N-subsets of the
-    momenta, the Bethe states.  Both work in log space, so log_abs stays
-    finite where the value over- or underflows.  The value is 1 at n = 0.  beta
-    is real; anything else raises ValueError, also at n = 0 or N = 0.
+    Gram determinant det(C W C^H); the spectral path is its Cauchy-Binet
+    expansion over the N-subsets of the momenta, the Bethe states.  Both work
+    in log space, so log_abs stays finite where the value over- or underflows.
+    The determinant path warns when its estimate passes PIVOT_RATIO_WARNING, or
+    is nan, where a QR, maybe short of digits, stands in for Cholesky.  The
+    value is 1 at n = 0.  beta is real; else ValueError, also at n = 0 or N = 0.
     """
     return _persistence("ferro", M, N, n, beta, method, max_states)
 
@@ -519,7 +519,7 @@ def persistence_domain_wall(
 
     C holds N-n site-sum rows on the (N-n)-particle ground state stacked on
     n plane-wave rows; the two paths are det(C W C^H) and its Cauchy-Binet
-    expansion, as for persistence_ferro.  The value is 1 at n = 0.  beta is
-    real; anything else raises ValueError, also at n = 0 or N = 0.
+    expansion, warned as for persistence_ferro.  The value is 1 at n = 0.
+    beta is real; anything else raises ValueError, also at n = 0 or N = 0.
     """
     return _persistence("domain_wall", M, N, n, beta, method, max_states)

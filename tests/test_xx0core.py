@@ -610,11 +610,37 @@ class TestGramDriver:
         assert not got.warnings and got.value.real == pytest.approx(0.63862107549, rel=1e-10)
         got = persistence_domain_wall(1000, 100, 3, 1.0)
         assert not got.warnings and got.value.real == pytest.approx(0.79522965, rel=1e-8)
-        # ill-conditioned: slogdet meets an exact zero pivot, so the value is a
-        # wrong 0 that only the warning tells apart from the exact 0 of no room
+        # ill-conditioned: Cholesky fails, the sorted QR of the Gram factor
+        # gives the benchmark's reference value, and the warning stays
         got = persistence_ferro(24, 20, 1, 40.0)
-        assert got.value == 0 and got.log_abs == -math.inf
+        assert abs(got.log_abs - math.log(0.0400181572392)) <= 1e-10
         assert any("ill-conditioned" in w for w in got.warnings)
+
+    # Cholesky fails on each; the spectral path is exact there
+    QR_CASES = [
+        ("ferro", 16, 10, 6, 34.523),
+        ("ferro", 32, 30, 3, 34.652),
+        ("domain_wall", 13, 13, 5, 34.843),
+        ("domain_wall", 38, 37, 23, 7.608),
+    ]
+
+    @pytest.mark.parametrize("kind, M, N, n, beta", QR_CASES)
+    def test_qr_stands_in_where_cholesky_fails(self, kind, M, N, n, beta):
+        assert math.isnan(_gram_log_value(kind, M, N, n, beta)[1])
+        fn = persistence_ferro if kind == "ferro" else persistence_domain_wall
+        got = fn(M, N, n, beta)
+        want = fn(M, N, n, beta, method="spectral_sum")
+        assert abs(got.log_abs - want.log_abs) <= 1e-9
+        assert got.value.imag == 0.0
+        assert got.warnings == ("ill-conditioned determinant (conditioning estimate nan)",)
+
+    def test_underflowing_weights_warn_quietly(self):
+        # half the weights underflow at beta = 2000, so R's diagonal holds exact
+        # zeros: the value is beyond double precision, but it is warned, and
+        # no numpy RuntimeWarning escapes (the test run turns those into errors)
+        for fn, N in ((persistence_ferro, 10), (persistence_domain_wall, 8)):
+            got = fn(12, N, 1, 2000.0)
+            assert any("ill-conditioned" in w for w in got.warnings)
 
     SILENT_FAULTS = [(14, 10, 4, 14.951), (16, 14, 3, 10.99)]  # ferro, within the ED budget
 
@@ -636,7 +662,7 @@ class TestGramDriver:
         with np.errstate(invalid="ignore"):
             _, ratio = _log_det(np.array([[2.0, 1.0], [1.0, math.nan]]))
         assert math.isnan(ratio)
-        monkeypatch.setattr(xx0core, "_log_det", lambda G, border=None: (0j, math.nan))
+        monkeypatch.setattr(xx0core, "_log_det", lambda G, border=None: (0.0, math.nan))
         # the cached Gram values sit in front of _log_det: empty the caches so
         # the patch is reached, and again after, so its values do not outlive it
         xx0core._gram_log_value.cache_clear()
