@@ -84,9 +84,12 @@ def zq(L: int, N: int, P: int) -> LaurentPoly:
     """Volume generating function of plane partitions in an L x N x P box.
 
     prod_{j<=L, k<=N} (1 - q^(P+j+k-1)) / (1 - q^(j+k-1)); symmetric in all
-    three box sides.
+    three box sides.  Sorted to L <= N <= P (the work grows as L^2 N^2 P), it is
+    expanded by _q_ratio one row j of the base at a time, each prefix zq(j, N, P).
     """
-    return _q_ratio(*_box_exponents(L, N, P))
+    _box_exponents(L, N, P)  # rejects a negative side
+    L, N, P = sorted((L, N, P))
+    return _q_ratio(([P + j + k - 1 for k in range(1, N + 1)], range(j, j + N)) for j in range(1, L + 1))
 
 
 def macmahon(L: int, N: int, P: int) -> int:

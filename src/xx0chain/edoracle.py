@@ -356,6 +356,8 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
     P psi; a value beyond double range raises OverflowError.  beta is real, and anything else
     raises ValueError for every kind; the values are real, as complex numbers with a zero imaginary
     part.  The chain and n are checked as persistence_ferro and persistence_domain_wall check them.
+    Accuracy floor: E0 from eigh is ~1.2e-15 off the Bethe energy (rms, 114 sectors with M <= 16), and
+    the gap factor carries that times beta: at beta = 40 the oracle vouches only to ~2e-13 relative.
     """
     beta = _real_beta(beta)
     if kind in ("ferro", "domain_wall"):

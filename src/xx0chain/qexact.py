@@ -22,6 +22,11 @@ and unpacks once:
 
 One integer Bareiss elimination gives every determinant: over Z, over the
 Laurent ring on the packed matrix, and over Q with rationals cleared to integers.
+
+Products of factors 1 - q^a over 1 - q^b (Gaussian binomials, q-factorials,
+box series) are expanded on one plain coefficient list in stages whose every
+prefix is a polynomial, so that each division is exact and the list stays near
+the answer's length (:func:`_q_ratio`).
 """
 
 from __future__ import annotations
@@ -331,46 +336,48 @@ def q_number(n: int) -> LaurentPoly:
     return LaurentPoly({e: 1 for e in range(n)})
 
 
-def _q_ratio(num: dict[int, int], den: dict[int, int]) -> LaurentPoly:
-    """prod (1 - q^a)^m / prod (1 - q^b)^m over {exponent: multiplicity} maps,
-    on one integer list: 1 - q^a multiplies by shift-and-subtract, 1 - q^b
-    divides by a stride-b prefix sum whose top b entries (the remainder) must
-    vanish.  q_factorial, q_binomial and boxcount.zq are all expanded here."""
-    c = [1] + [0] * sum(a * m for a, m in num.items())
-    deg = 0
-    for a, m in num.items():
-        for _ in range(m):
+def _q_ratio(stages) -> LaurentPoly:
+    """prod over stages (as, bs) of prod (1 - q^a) / prod (1 - q^b), on one integer list:
+    1 - q^a multiplies by shift-and-subtract, 1 - q^b divides by a stride-b prefix sum
+    whose top b entries (the remainder) must vanish.  Every prefix product of the stages
+    must be a polynomial, so the list never grows past a prefix times one stage's numerators
+    (all numerators first would double a cube's degree, with large alternating coefficients)."""
+    c, deg = [1], 0
+    for nums, dens in stages:
+        c[deg + 1:] = [0] * sum(nums)
+        for a in nums:
             deg += a
             c[a:deg + 1] = [x - y for x, y in zip(c[a:deg + 1], c[:deg + 1 - a])]
-    for b, m in den.items():  # all of num is in, so each 1 - q^b divides what is left
-        for _ in range(m):
+        for b in dens:
             for r in range(b):  # the prefix sum runs along each residue class mod b
                 c[r:deg + 1:b] = accumulate(c[r:deg + 1:b])
-            if any(c[deg - b + 1:deg + 1]):  # pragma: no cover - would be a bug
+            if deg < b or any(c[deg - b + 1:deg + 1]):
                 raise ExactDivisionError(f"product failed to divide by 1 - q^{b}")
             deg -= b
     return LaurentPoly._new(0, c[:deg + 1])
 
 
 def q_factorial(n: int) -> LaurentPoly:
-    """[n]! = [1][2]...[n] = prod_{i<=n} (1 - q^i) / (1 - q)^n, with [0]! = 1."""
+    """[n]! = [1][2]...[n] = prod_{i<=n} (1 - q^i) / (1 - q), stage by stage, with [0]! = 1."""
     if n < 0:
         raise ValueError("q-factorial requires n >= 0")
-    return _q_ratio(dict.fromkeys(range(1, n + 1), 1), {1: n})
+    return _q_ratio(((i,), (1,)) for i in range(1, n + 1))
 
 
+@lru_cache(maxsize=1024)
 def q_binomial(n: int, r: int) -> LaurentPoly:
     """Gaussian binomial coefficient [n, r], MacMahon's product for an r x (n-r) x 1 box.
 
     prod_{i<=k} (1 - q^(n-k+i)) / (1 - q^i) with k = min(r, n-r), expanded
-    by _q_ratio.  Returns 0 for r < 0 or r > n; at q=1 it reduces to comb(n, r).
+    by _q_ratio one stage per i (prefix [n-k+i, i]) and memoized on (n, k).
+    Returns 0 for r < 0 or r > n; at q=1 it reduces to comb(n, r).
     """
     if n < 0:
         raise ValueError("q-binomial requires n >= 0")
     if r < 0 or r > n:
         return _ZERO
     k = min(r, n - r)
-    return _q_ratio(dict.fromkeys(range(n - k + 1, n + 1), 1), dict.fromkeys(range(1, k + 1), 1))
+    return q_binomial(n, k) if k < r else _q_ratio(((n - k + i,), (i,)) for i in range(1, k + 1))
 
 
 def q_vandermonde(N: int, Np: int, r: int) -> LaurentPoly:

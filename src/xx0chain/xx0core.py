@@ -489,6 +489,8 @@ def _persistence(kind: str, M: int, N: int, n: int, beta, method: str, max_state
         if comb(M + 1, N) > max_states:
             raise EnumerationBudgetError("spectral sum exceeds sector budget")
         log_value = _spectral_log_value(kind, M, N, n, b)
+    if kind == "ferro" and log_value > 1e-12:  # <psi|P e^(-beta(H-E0)) P|psi> <= |P psi|^2 <= |psi|^2
+        warnings.append(f"ferro correlator exceeds 1 (log {log_value:.3g})")
     with np.errstate(over="ignore"):
         value = complex(np.exp(np.complex128(log_value)))
     if not math.isfinite(value.real):  # the exp of a real log has imaginary part 0
@@ -506,8 +508,9 @@ def persistence_ferro(
     expansion over the N-subsets of the momenta, the Bethe states.  Both work
     in log space, so log_abs stays finite where the value over- or underflows.
     The determinant path warns when its estimate passes PIVOT_RATIO_WARNING, or
-    is nan, where a QR, maybe short of digits, stands in for Cholesky.  The
-    value is 1 at n = 0.  beta is real; else ValueError, also at n = 0 or N = 0.
+    is nan, where a QR, maybe short of digits, stands in for Cholesky; a value
+    above 1 is warned too.  The value is 1 at n = 0.  beta is real; else
+    ValueError, also at n = 0 or N = 0.
     """
     return _persistence("ferro", M, N, n, beta, method, max_states)
 

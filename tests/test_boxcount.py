@@ -42,7 +42,9 @@ class TestGeneratingFunctions:
         assert zq(0, 5, 7) == 1
 
     def test_zq_symmetric_in_all_sides(self):
-        for sides in [(1, 2, 3), (2, 2, 3), (1, 3, 4)]:
+        # zq expands the sorted sides, so every ordering, zero sides included, must give one series
+        boxes = [(1, 2, 3), (2, 2, 3), (1, 3, 4), (0, 0, 0), (0, 0, 4), (0, 3, 5), (4, 1, 6), (6, 2, 2), (1, 7, 4)]
+        for sides in boxes:
             vals = {tuple(p): zq(*p) for p in permutations(sides)}
             assert len({repr(v) for v in vals.values()}) == 1
 
@@ -165,13 +167,21 @@ class TestGeneratingFunctions:
             want = one_division([P + 1 + j - k for j, k in cells], [j + k - 1 for j, k in cells])
             assert zq_cspp(N, P) == want.shift(exact_half(N * N * (N - 1)))
 
+    def test_zq_on_a_large_cube(self):
+        # 20 rows of 20 stages each; the series is palindromic of degree L*N*P
+        z = zq(20, 20, 20)
+        assert z.at_one() == macmahon(20, 20, 20)
+        assert z.min_exponent() == 0 and z.degree() == 8000
+        assert all(z.coefficient(e) == z.coefficient(8000 - e) for e in range(4001))
+
     def test_domain_guards(self):
         with pytest.raises(ValueError):
             zq_cspp(3, 1)
         with pytest.raises(ValueError):
             a_cspp(2, 0)
-        with pytest.raises(ValueError):
-            zq(-1, 1, 1)
+        for sides in [(-1, 1, 1), (2, -1, 3), (2, 3, -1), (0, 0, -2)]:
+            with pytest.raises(ValueError, match="box sides must be non-negative"):
+                zq(*sides)
 
 
 class TestKuperbergMatrix:

@@ -103,6 +103,14 @@ class TestCorrelator:
         assert row["value_im"] == "0"
         assert row["warnings"] == "ill-conditioned determinant (conditioning estimate nan)"
 
+    def test_ferro_above_one_is_warned(self, capsys):
+        # the weights span 1 to 3.5e-323 here and the QR of the Gram factor
+        # gives 2.60, which no probability can be; the row says so
+        rc, out = run_cli(["correlator", "ferro", "--M", "12", "--N", "10", "--n", "1", "--beta", "800"], capsys)
+        assert rc == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert float(row["value_re"]) <= 1 or "ferro correlator exceeds 1 (log " in row["warnings"]
+
 
 class TestCount:
     def test_macmahon(self, capsys):

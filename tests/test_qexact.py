@@ -273,6 +273,25 @@ class TestQNumbers:
             for r in range(n + 1):
                 assert q_binomial(n, r) == q_binomial(n, n - r)
 
+    def test_q_binomial_memo_is_bounded_and_shared(self):
+        assert q_binomial.cache_info().maxsize is not None
+        for n, r in [(9, 2), (40, 37), (17, 8)]:
+            assert q_binomial(n, r) is q_binomial(n, n - r)  # one expansion per (n, min(r, n - r))
+
+    def test_staged_ratio_needs_polynomial_prefixes(self):
+        # every stage of _q_ratio must leave a polynomial; one that does not raises
+        assert qexact._q_ratio([((2, 3), (1, 2))]) == 1 + q + q**2  # zq(1, 2, 1): one row of two cells
+        assert qexact._q_ratio([((3,), (1,)), ((4,), (2,))]) == q_binomial(4, 2)
+        for stages in (
+            [((3,), (2,))],
+            [((), (1,))],
+            [((4,), (4, 3))],  # 1 / (1 - q^3): the last divisor outgrows what is left
+            # the 2 x 2 x 1 box one cell at a time: cell (2, 1) leaves (1 + q + q^2)^2 / (1 + q)
+            [((j + k,), (j + k - 1,)) for j in (1, 2) for k in (1, 2)],
+        ):
+            with pytest.raises(ExactDivisionError):
+                qexact._q_ratio(stages)
+
     def test_q_binomial_on_long_rows(self):
         # a recursive Pascal rule overflowed the stack from n = 500 on
         assert q_binomial(1500, 3) == q_binomial(1500, 1497)

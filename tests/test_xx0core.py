@@ -642,6 +642,20 @@ class TestGramDriver:
             got = fn(12, N, 1, 2000.0)
             assert any("ill-conditioned" in w for w in got.warnings)
 
+    def test_ferro_above_one_warns(self):
+        # <psi|P exp(-beta(H - E0)) P|psi> / <psi|psi> <= 1 since H - E0 >= 0; at beta = 800
+        # the weights leave double range and the QR gives 2.60 (log 0.956, spectral sum -2.933)
+        got = persistence_ferro(12, 10, 1, 800.0)
+        assert got.log_abs <= 1e-12 or f"ferro correlator exceeds 1 (log {got.log_abs:.3g})" in got.warnings
+
+    def test_ferro_within_one_is_not_warned(self):
+        for M in range(1, 11):
+            for N in range(1, M + 2):
+                for n in range(1, M + 2 - N):
+                    for beta in (0.0, 0.5, 5.0):
+                        got = persistence_ferro(M, N, n, beta)
+                        assert got.log_abs <= 1e-12 and not got.warnings, (M, N, n, beta)
+
     SILENT_FAULTS = [(14, 10, 4, 14.951), (16, 14, 3, 10.99)]  # ferro, within the ED budget
 
     @pytest.mark.xfail(strict=True, reason="direction 1: the Gram determinant loses digits here without a warning")
