@@ -53,6 +53,8 @@ def mehta_integral(N: int) -> float:
     return math.exp(phi_n(N))
 
 
+# phi_n and log_box_count are memoized: a table repeats each N and each box for every beta row
+@lru_cache(maxsize=256, typed=True)
 def phi_n(N: int) -> float:
     """sum_{k<=N} log(Gamma(k)/sqrt(2*pi)); the log of the Mehta value."""
     if N < 1:
@@ -77,6 +79,7 @@ def big_phi(N: int, M: int, beta: float) -> float:
     return sum(_phi_pieces(N, M, beta).values())
 
 
+@lru_cache(maxsize=256, typed=True)
 def log_box_count(L: int, N: int, P: int) -> float:
     """log of the plane-partition count in an L x N x P box.
 

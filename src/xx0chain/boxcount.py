@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from math import isqrt, prod
 
 from .errors import ExactDivisionError
-from .qexact import IndexTuples, LaurentPoly, _q_ratio, exact_det, exact_half, q_binomial_determinant
-from .schur import vandermonde
+from .qexact import IndexTuples, LaurentPoly, _q_ratio, exact_det, exact_half, q_binomial_determinant, vandermonde
 
 __all__ = [
     "zq",

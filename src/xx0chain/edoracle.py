@@ -29,7 +29,6 @@ from math import comb
 import numpy as np
 
 from .errors import EnumerationBudgetError
-from .schur import schur_jacobi_trudi
 from .xx0core import ChainParams, _check_correlator, _real_beta
 
 __all__ = [
@@ -291,6 +290,8 @@ def thermal_operator(M: int, N: int, beta) -> np.ndarray:
 
 def build_state_vector(u, M: int, N: int) -> np.ndarray:
     """Amplitude vector with S_lam(u^2) at the configuration lam + staircase."""
+    from .schur import schur_jacobi_trudi  # call-time: the oracle itself never loads schur
+
     basis = sector_basis(M, N)
     u = tuple(u)
     if len(u) != N:

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb, isqrt, lcm, prod
 
 from .errors import ExactDivisionError
@@ -56,6 +55,7 @@ __all__ = [
     "exact_det",
     "det_by_minors",
     "exact_det_rational",
+    "vandermonde",
 ]
 
 
@@ -446,6 +446,11 @@ def q_binomial_determinant(t: IndexTuples) -> LaurentPoly:
 # -- determinants ------------------------------------------------------
 
 
+def vandermonde(coords):
+    """prod_{m<l} (x_m - x_l), i.e. det of the decreasing-power moment matrix."""
+    return prod(a - b for a, b in combinations(coords, 2))
+
+
 def _as_laurent_rows(m) -> list[list[LaurentPoly]]:
     rows = []
     for r in m:
@@ -549,6 +554,8 @@ def det_by_minors(m) -> LaurentPoly:
 def exact_det_rational(rows) -> Fraction:
     """Exact determinant of an int/Fraction matrix: integer Bareiss on the rows
     cleared by the lcm of their denominators, divided by the product of those lcms."""
+    from fractions import Fraction  # here only: fractions loads decimal, which nothing else here needs
+
     a = [[Fraction(x) for x in r] for r in rows]
     if any(len(r) != len(a) for r in a):
         raise ValueError("matrix must be square")

@@ -23,7 +23,7 @@ import numpy as np
 from . import qexact
 from .combinat import Partition, conjugate, enumerate_partitions_in_box
 from .errors import DegenerateInputError, EnumerationBudgetError
-from .qexact import LaurentPoly
+from .qexact import LaurentPoly, vandermonde
 
 __all__ = [
     "elementary_symmetric",
@@ -69,11 +69,6 @@ def elementary_symmetric(r: int, coords):
     if r > len(coords):
         return 0
     return _e_table(coords, r)[r]
-
-
-def vandermonde(coords):
-    """prod_{m<l} (x_m - x_l), i.e. det of the decreasing-power moment matrix."""
-    return prod(a - b for a, b in combinations(coords, 2))
 
 
 def _quotient(num, den, track: str):

@@ -46,7 +46,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EnumerationBudgetError
-from .schur import _check_distinct, binet_cauchy_kernel
 
 __all__ = [
     "ChainParams",
@@ -158,6 +157,8 @@ def scalar_product(v, u, M: int) -> complex:
     if len(v) != len(u):
         raise ValueError("parameter tuples must have equal length")
     if len(u) > M + 1:
+        from .schur import _check_distinct  # call-time: the correlator paths never load schur
+
         _check_distinct([complex(x) ** 2 for x in u])
         _check_distinct([complex(x) ** (-2) for x in v])
         return 0j
@@ -205,6 +206,8 @@ def domain_wall_formfactor(v, u, n: int, M: int) -> complex:
     if not 0 <= n <= N or len(u) != N - n:
         raise ValueError("need len(v) = N and len(u) = N - n")
     ChainParams(M, N)
+    from .schur import binet_cauchy_kernel  # call-time: the correlator paths never load schur
+
     u2 = [complex(x) ** 2 for x in u]
     vm2 = [complex(x) ** (-2) for x in v]
     return complex(binet_cauchy_kernel(M + 1 - N, 0, vm2, u2))
