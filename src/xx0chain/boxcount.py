@@ -161,7 +161,9 @@ def box_det_identity(L: int, N: int, P: int) -> BoxDetIdentityReport:
     normalized q-binomial determinant on the shifted staircase index tuples,
     (c) the box generating function zq(L, N, P-N+1).  The claim that all
     three coincide is proved only in the regime P/2 < N < P; outside it the
-    report still records the outcome without interpreting it.
+    report still records the outcome without interpreting it.  (a) keeps
+    exact_det's Hadamard width: sizing it by its value at q = 1, as (b) is
+    sized, would assume the positivity that this comparison tests.
     """
     if not 1 <= L <= N:
         raise ValueError(f"need 1 <= L <= N, got L={L}, N={N}")

@@ -18,7 +18,10 @@ and unpacks once:
 - exact division is one ``divmod``, widened until the quotient provably
   multiplies back, and raises on a nonzero remainder;
 - a determinant over the Laurent ring is the integer Bareiss elimination of
-  the packed matrix, at a width from a Hadamard-type bound.
+  the packed matrix (:func:`_packed_det`).  :func:`exact_det` takes its width
+  from a Hadamard-type bound; :func:`q_binomial_determinant` from the value
+  at q = 1, which bounds every coefficient of a lattice-path generating
+  function, and checks the result against it.
 
 One integer Bareiss elimination gives every determinant: over Z, over the
 Laurent ring on the packed matrix, and over Q with rationals cleared to integers.
@@ -437,10 +440,37 @@ def binomial_determinant(t: IndexTuples) -> int:
 
 
 def q_binomial_determinant(t: IndexTuples) -> LaurentPoly:
-    """det( [a_j, b_i]_q ) over the exact Laurent ring."""
+    """det( [a_j, b_i]_q ) over the exact Laurent ring, packed at the width of its value at q = 1.
+
+    It is the area generating function of non-intersecting lattice paths
+    (Gessel & Viennot, Adv. Math. 58, 1985).  Take the points A_j = (0, -a_j)
+    and B_i = (b_i, -b_i), unit steps east and north, and give each north step
+    at column x the weight q^x.  A path from A_j to B_i makes b_i east and
+    a_j - b_i north steps, so its weights run over the partitions in a
+    (a_j - b_i) x b_i box and sum to exactly [a_j, b_i]_q, with no offset.
+    As a and b strictly increase, a family of pairwise non-intersecting paths
+    A_j -> B_i exists only for the identity permutation, so the determinant is
+    the weight sum over such families: every coefficient is non-negative and
+    at most the value at q = 1, :func:`binomial_determinant`, a Bareiss on
+    small integers.  That value sizes the packing (widened to hold the
+    entries) instead of :func:`exact_det`'s Hadamard bound, about half as many
+    bits.  If it is 0 the determinant is 0.  The unpacked coefficients must be
+    non-negative and sum to it; otherwise, or if they do not unpack, the
+    determinant is redone at the Hadamard width.
+    """
     n = t.size
     rows = [[q_binomial(t.a[j], t.b[i]) for j in range(n)] for i in range(n)]
-    return exact_det(rows)
+    at_one = binomial_determinant(t)
+    if not at_one:
+        return _ZERO
+    top = max((max(x._v) for r in rows for x in r if x._v), default=0)
+    try:
+        det = _packed_det(rows, max(at_one, top).bit_length() // 8 + 1)
+    except OverflowError:
+        det = None
+    if det is None or det.at_one() != at_one or min(det._v) < 0:
+        return exact_det(rows)
+    return det
 
 
 # -- determinants ------------------------------------------------------
@@ -493,7 +523,16 @@ def exact_det(m) -> LaurentPoly:
     bound2 = min(prod(sum(t * t for t in r) for r in l1), prod(sum(t * t for t in c) for c in zip(*l1)))
     if not bound2:
         return _ZERO
-    nb = isqrt(bound2).bit_length() // 8 + 1  # X/2 > isqrt(bound2) iff X/2 > sqrt(bound2)
+    return _packed_det(rows, isqrt(bound2).bit_length() // 8 + 1)  # X/2 > isqrt(bound2) iff X/2 > sqrt(bound2)
+
+
+def _packed_det(rows: list[list[LaurentPoly]], nb: int) -> LaurentPoly:
+    """det of square LaurentPoly rows, none of them zero, by integer Bareiss at X = 256**nb.
+
+    Exact when every coefficient of the entries and of the determinant lies in
+    [-X/2, X/2).  A wider entry raises OverflowError in :func:`_pack`; a wider
+    determinant raises it in :func:`_unpack` or unpacks to wrong digits.
+    """
     los = [min(x._lo for x in r if x._v) for r in rows]
     packed = [[_pack(x._v, nb) << (8 * nb * (x._lo - lo)) if x._v else 0 for x in r] for r, lo in zip(rows, los)]
     ndigits = 1 + sum(max(x._lo + len(x._v) for x in r if x._v) - 1 - lo for r, lo in zip(rows, los))

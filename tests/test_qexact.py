@@ -1,13 +1,14 @@
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xx0chain import qexact
+from xx0chain.boxcount import box_det_identity, kuperberg_matrix, staircase_qbinom_det
 from xx0chain.errors import ExactDivisionError
 from xx0chain.qexact import (
     IndexTuples,
@@ -495,3 +496,85 @@ class TestDeterminants:
         m = [[1 + q, q], [q**2, 1 - q]]
         swapped = [m[1], m[0]]
         assert exact_det(swapped) == -exact_det(m)
+
+
+def qbinom_rows(t):
+    return [[q_binomial(a, b) for a in t.a] for b in t.b]
+
+
+def staircase(L, N, P):
+    return IndexTuples(tuple(range(L + N, L + N + P)), tuple(range(L, L + P)))
+
+
+def hadamard_width(rows):
+    """exact_det's width, from its Hadamard bound on the l1 norms of the entries."""
+    l1 = [[sum(map(abs, x.coeffs().values())) for x in r] for r in rows]
+    bound2 = min(prod(sum(v * v for v in r) for r in l1), prod(sum(v * v for v in c) for c in zip(*l1)))
+    return isqrt(bound2).bit_length() // 8 + 1
+
+
+class TestQBinomialDeterminantWidth:
+    """q_binomial_determinant packs at the width of its value at q = 1, which
+    bounds every coefficient of its lattice-path generating function."""
+
+    def test_staircases_match_the_hadamard_width(self):
+        for L in range(7):
+            for N in range(7):
+                for P in range(7):
+                    assert staircase_qbinom_det(L, N, P) == exact_det(qbinom_rows(staircase(L, N, P))), (L, N, P)
+
+    def test_random_tuples_are_non_negative_path_counts(self):
+        rng = random.Random(31)
+        for _ in range(600):
+            n = rng.randint(1, 4)
+            t = IndexTuples(tuple(sorted(rng.sample(range(12), n))), tuple(sorted(rng.sample(range(12), n))))
+            d = q_binomial_determinant(t)
+            assert all(c > 0 for c in d.coeffs().values()), t
+            assert d.at_one() == binomial_determinant(t), t
+            assert d == det_by_minors(qbinom_rows(t)), t
+
+    @pytest.mark.parametrize("fault", ["at_one + 1", "at_one = 1", "negative coefficient", "no unpacking"])
+    def test_a_failed_check_redoes_the_hadamard_width(self, monkeypatch, fault):
+        t = staircase(4, 4, 4)  # 232848 at q = 1, largest coefficient 11408
+        rows = qbinom_rows(t)
+        want, h = exact_det(rows), hadamard_width(rows)
+        if fault == "at_one + 1":
+            monkeypatch.setattr(qexact, "binomial_determinant", lambda t: want.at_one() + 1)
+        elif fault == "at_one = 1":  # one byte: the digits come out wrong, some negative
+            monkeypatch.setattr(qexact, "binomial_determinant", lambda t: 1)
+        elif fault == "negative coefficient":  # the right sum, -1 at q^0
+            packed_det = qexact._packed_det
+            monkeypatch.setattr(qexact, "_packed_det", lambda rows, nb: packed_det(rows, nb) + (q - 1 if nb < h else 0))
+        else:
+            unpack = qexact._unpack
+
+            def narrow_unpack(x, n, nb):
+                if nb < h:
+                    raise OverflowError("no n-digit form")
+                return unpack(x, n, nb)
+
+            monkeypatch.setattr(qexact, "_unpack", narrow_unpack)
+        redone = []
+        monkeypatch.setattr(qexact, "exact_det", lambda rows: redone.append(rows) or exact_det(rows))
+        assert q_binomial_determinant(t) == want
+        assert redone == [rows]
+
+    def test_zero_at_one_is_zero_without_elimination(self, monkeypatch):
+        monkeypatch.setattr(qexact, "_packed_det", None)
+        monkeypatch.setattr(qexact, "exact_det", None)
+        assert q_binomial_determinant(IndexTuples((0, 1, 6), (0, 2, 3))) == 0  # no zero row or column
+
+    def test_packing_widths(self, monkeypatch):
+        widths = []
+        pack = qexact._pack
+        monkeypatch.setattr(qexact, "_pack", lambda v, nb: widths.append(nb) or pack(v, nb))
+        staircase_qbinom_det(8, 8, 8)  # 74 bits at q = 1; the Hadamard width is 19 bytes
+        assert max(widths) <= 10
+        # the Kuperberg determinant's positivity is what box_det_identity tests,
+        # so its entries keep the Hadamard width
+        kup = kuperberg_matrix(5, 6, 10)
+        h = hadamard_width(kup)
+        assert h > max(exact_det(kup).at_one(), 1).bit_length() // 8 + 1
+        widths.clear()
+        assert box_det_identity(5, 6, 10).all_equal
+        assert widths.count(h) >= 6 * 6
