@@ -16,16 +16,21 @@ sector parity.
 Both correlators are read off one N x (M+1) site-sum matrix C.  The
 determinant path is the Gram determinant det(C W C^H), W = diag(exp(beta
 cos phi)) (Colomo, Izergin, Korepin & Tognetti, Theor. Math. Phys. 94,
-1993), by Cholesky, or where that fails by a sorted QR of W^(1/2) C^H; the
-spectral path is its Cauchy-Binet expansion, the sum of exp(-beta E_S)
-|det C[:, S]|^2 over the N-subsets S of the momenta, the Bethe states.  Both
-take real logs and never form (M+1)^N or exp(beta N).  A site sum over
-k = lo..M of exp(ik(theta - phi)) is a real Dirichlet kernel times
-exp(i(lo+M)(theta - phi)/2), a diagonal unitary on either side of C that
-changes neither determinant, so both paths run on C's real rows.
+1993); the spectral path is its Cauchy-Binet expansion, the sum of
+exp(-beta E_S) |det C[:, S]|^2 over the N-subsets S of the momenta, the
+Bethe states.  Both take real logs and never form (M+1)^N or exp(beta N).
+A site sum over k = lo..M of exp(ik(theta - phi)) is a real Dirichlet
+kernel times exp(i(lo+M)(theta - phi)/2), a diagonal unitary on either side
+of C that changes neither determinant, so both paths run on C's real rows.
+The grid is closed under phi -> -phi, so the ring's reflection folds the
+Gram into two real products of half width (_site_matrix), factored by one
+real Cholesky.  Its estimate is the ratio of the largest to the smallest
+pivot; a sorted QR of the unfolded W^(1/2) C^H recomputes, and the caller
+warns, every value whose Cholesky fails or whose estimate is not
+<= PIVOT_RATIO_WARNING.
 
 Each piece of determinant work is done once per process.  C does not depend
-on beta, and the CLI sweeps beta innermost, so _site_matrix keeps the rows
+on beta, and the CLI sweeps beta innermost, so _site_matrix keeps the halves
 it built last (read-only, shared by every beta of the sweep).  The `asym`
 tables read back the correlators that the `correlator` tables of one chain
 have just computed, so _gram_log_value keeps the recent Gram determinants,
@@ -43,7 +48,7 @@ from math import comb, cos, pi
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import EnumerationBudgetError
 
@@ -324,43 +329,104 @@ def _site_rows(kind: str, N: int, n: int) -> tuple[int, int]:
     return (N, n) if kind == "ferro" else (N - n, 0)
 
 
-@lru_cache(maxsize=1)  # R is beta-independent and beta is swept innermost
-def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """(R, cos phi, Ng, E_gs): real rows of the N x (M+1) matrix C both paths share.
+def _border_rows(M: int, n: int, tm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, re, im) at phi = pi tm / (M+1): u_r = (2^.5 sin phi/2)^r (2^.5 cos phi/2)^(n-1-r), re + i im = exp(i(M+1-n) phi/2)."""
+    k = (M + 1 - n) * tm  # (M+1-n) phi/2 = pi k / (2(M+1))
+    sin_half, cos_half, re, im = _sin_quarter(np.stack([tm, tm + M + 1, k + M + 1, k]), M)
+    return (np.vander(math.sqrt(2) * sin_half, n, increasing=True) * np.vander(math.sqrt(2) * cos_half, n)).T, re, im
+
+
+def _ground_energy(M: int, Ng: int) -> float:
+    """E_gs = -sum cos theta over the Ng-particle ground state's roots."""
+    return -float(np.sum(np.cos(pi * (2 * np.arange(Ng) - (Ng - 1)) / (M + 1))))
+
+
+@lru_cache(maxsize=1)  # the halves are beta-independent and beta is swept innermost
+def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, int, np.ndarray, int, float]:
+    """(F, nx, cos phi, Ng, E_gs): C folded by the ring's reflection into two real halves.
+
+    Column J = (N-1-j) mod (M+1) of C (_unfolded_rows) is column j's mirror:
+    cos phi_J = cos phi_j and C[:, J] = +-P conj(C[:, j]), P reversing the Ng
+    site rows and taking border row r times (-1)^r.  In the rows
+    (R_s +- R_{Ng-1-s})/2^.5 (the minus one times i), the middle site row,
+    and border row r times (-i)^(r mod 2), every row is x + iy with x even
+    and y odd under the mirror, so Im(C W C^H) cancels between j and J.  X =
+    F[:nx] holds the x rows (even site rows, then the border rows' real parts
+    for even r, imaginary for odd), Y = F[nx:] the y rows (odd site rows, then
+    the other parts, negated for odd r), over the K = (M+1+f)/2 momenta in
+    [0, pi], f of them (phi = 0, pi) their own mirror and the others scaled by
+    2^.5 for their pair.  Rows are divided by M+1, so det(X W X^T (+) Y W Y^T,
+    border blocks summed) = det(C W C^H) / (M+1)^(2N).  Site rows are windows
+    onto one Dirichlet table, |d| <= M + Ng < 2(M+1); border rows are
+    u_r exp(i(M+1-n) phi/2), u_r = (2^.5 sin phi/2)^r (2^.5 cos phi/2)^(n-1-r),
+    which _plane_waves' real B' maps onto the plane waves.  Cached, read-only.
+    """
+    Ng, lo = _site_rows(kind, N, n)
+    tm = np.arange((N - 1) % 2, M + 2, 2)  # 2m over [0, pi]: the columns N//2 .. (N+M)//2
+    K, p, hx = len(tm), Ng // 2, (Ng + 1) // 2
+    own = [0] * (N % 2) + [K - 1] * ((N + M + 1) % 2)  # the columns at phi = 0 and pi, their own mirror
+    pair = np.full(K, math.sqrt(2))  # a column that stands for two has weight 2
+    pair[own] = 1.0
+    F = np.empty((2 * N - Ng, K))  # X = F[:N - p], Y = F[N - p:]
+    X, Y = F[: N - p], F[N - p :]
+    if Ng:
+        t = _dirichlet(M, lo, np.arange(tm[0] + 1 - Ng, tm[-1] + Ng, 2)) / (M + 1)
+        W = as_strided(t, (Ng, K), t.strides * 2, writeable=False)  # W[s, j] = t[s + j]
+        np.add(W[:p], W[::-1][:p], out=X[:p])
+        np.subtract(W[:p], W[::-1][:p], out=Y[:p])
+        for j in own:
+            X[:p, j] *= math.sqrt(0.5)
+            Y[:p, j] *= math.sqrt(0.5)
+        np.multiply(W[p:hx], pair, out=X[p:hx])
+    if kind == "domain_wall":
+        u, re, im = _border_rows(M, n, tm)
+        u *= pair / (M + 1)
+        odd = (np.arange(n) % 2 == 1)[:, None]
+        np.multiply(u, np.where(odd, im, re), out=X[hx:])
+        np.multiply(u, np.where(odd, -re, im), out=Y[p:])
+    cos_phi = np.cos(pi * tm / (M + 1))
+    F.setflags(write=False)
+    cos_phi.setflags(write=False)
+    return F, N - p, cos_phi, Ng, _ground_energy(M, Ng)
+
+
+@lru_cache(maxsize=1)  # built only for the QR fallback and the spectral minors
+def _unfolded_rows(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """(R, cos phi, Ng, E_gs): real rows of the N x (M+1) matrix C.
 
     Columns are the N-particle momenta phi, Ng is the ground state's particle
     number.  Without their phases exp(ic theta) and exp(-ic phi), c = (lo+M)/2,
     the Ng site-sum rows over k = lo..M are windows onto one Dirichlet table,
     R[s, j] = _dirichlet(2m_s + 2m_j).  Ferro: Ng = N, lo = n.  Domain wall:
-    Ng = N-n, lo = 0, then the real and then the imaginary parts of n rows
-    u_j exp(i(M+1-n) phi/2), u_j = (2^.5 sin phi/2)^j (2^.5 cos phi/2)^(n-1-j).
-    With the column phase they span the plane waves exp(-ir phi), r < n, by a
-    B of |det| 1 (_plane_waves), and stay small where a large beta puts the
-    weight, so their Gram keeps its digits.  Cached, read-only.
+    Ng = N-n, lo = 0, then the real and then the imaginary parts of the n
+    border rows of _site_matrix.  Cached, read-only.
     """
     Ng, lo = _site_rows(kind, N, n)
     tm = _twice_m(M, N)
-    d = np.arange(2 - Ng - N, 2 * M + Ng - N + 1, 2)
-    R = sliding_window_view(_dirichlet(M, lo, d), M + 1) if Ng else np.empty((0, M + 1))
+    R = np.empty((0, M + 1))
+    if Ng:
+        t = _dirichlet(M, lo, np.arange(2 - Ng - N, 2 * M + Ng - N + 1, 2))
+        R = as_strided(t, (Ng, M + 1), t.strides * 2, writeable=False)  # R[s, j] = t[s + j]
     if kind == "domain_wall":
-        k = (M + 1 - n) * tm  # (M+1-n) phi/2 = pi k / (2(M+1))
-        sin_half, cos_half, re, im = _sin_quarter(np.stack([tm, tm + M + 1, k + M + 1, k]), M)
-        u = (np.vander(math.sqrt(2) * sin_half, n, increasing=True) * np.vander(math.sqrt(2) * cos_half, n)).T
+        u, re, im = _border_rows(M, n, tm)
         R = np.vstack([R, u * re, u * im])
-    e_gs = -float(np.sum(np.cos(pi * _twice_m(M, Ng)[:Ng] / (M + 1))))
     cos_phi = np.cos(pi * tm / (M + 1))
     R.setflags(write=False)
     cos_phi.setflags(write=False)
-    return R, cos_phi, Ng, e_gs
+    return R, cos_phi, Ng, _ground_energy(M, Ng)
 
 
 @lru_cache(maxsize=16)
 def _plane_waves(n: int) -> np.ndarray:
-    """B, exp(-ir phi) = exp(-i(n-1) phi/2) sum_j B[n-1-r, j] u_j: B[:, j] = i^j K_j(r) / 2^((n-1)/2)."""
+    """Real B', exp(-ir phi) = exp(-i(n-1) phi/2) sum_j B'[n-1-r, j] (-i)^(j mod 2) u_j.
+
+    B'[:, j] = i^j i^(j mod 2) K_j(r) / 2^((n-1)/2), K_j the Krawtchouk
+    polynomials of order n-1; |det B'| = 1.
+    """
     x, K = 2.0 * np.arange(n) - (n - 1), [np.zeros(n), np.ones(n)]  # x = n-1-2r for r = n-1..0
     for j in range(n - 1):  # the recurrence of the Krawtchouk polynomials K_j of order n-1
         K.append((x * K[-1] - (n - j) * K[-2]) / (j + 1))
-    B = np.stack(K[1:], axis=1) * 1j ** np.arange(n) / 2 ** ((n - 1) / 2)
+    B = np.stack(K[1:], axis=1) * (-1.0) ** ((np.arange(n) + 1) // 2) / 2 ** ((n - 1) / 2)
     B.setflags(write=False)
     return B
 
@@ -374,33 +440,55 @@ def _with_border(X: np.ndarray, N: int, Ng: int) -> np.ndarray:
 def _gram_log_value(kind: str, M: int, N: int, n: int, beta: float) -> tuple[float, float]:
     """(log of the determinant-path correlator, conditioning estimate).
 
-    The correlator is exp(beta E_gs) det(C W C^H) / (M+1)^(N+Ng), C from
-    _site_matrix's rows R, W = diag(exp(beta cos phi)) over its largest
-    entry, which is added back as a log.  C W C^H / (M+1) is U F[n:, n:]^T
-    U^H for ferro and the kernel / strip / walker block matrix for the domain
-    wall, F being the walker table.  H = A A^T = R W R^T, A = R W^(1/2), is one
-    real product.  The estimate is that of C with its plane-wave rows for the
-    domain wall, and NaN where Cholesky fails and a sorted QR of the Gram
-    factor gives the log (Cox & Higham, BIT 38, 1998); the caller warns on NaN too.
-    Cached, because `asym` asks again for every value `correlator` printed;
-    keyed on _real_beta's float, so equal int, float and real complex betas share it.
+    The correlator is exp(beta E_gs) det(C W C^H) / (M+1)^(N+Ng), W =
+    diag(exp(beta cos phi)) over its largest entry, which is added back as a
+    log.  C W C^H / (M+1) is U F[n:, n:]^T U^H for ferro and the kernel /
+    strip / walker block matrix for the domain wall, F the walker table.  Per
+    beta: one exp over the K weights, the real products X W X^T and
+    Y W Y^T of _site_matrix's halves summed into G' (block diagonal for
+    ferro), one Cholesky of G'.  The estimate is max/min of its squared
+    pivots, the last n those of the real border B' (_log_det).  Where
+    Cholesky fails or the estimate is not <= PIVOT_RATIO_WARNING, the value
+    comes from _qr_log_det and the estimate is NaN, which the caller warns
+    on.  Cached, because `asym` asks again for every value `correlator`
+    printed; keyed on _real_beta's float.
     """
-    R, cos_phi, Ng, e_gs = _site_matrix(kind, M, N, n)
+    F, nx, cos_phi, Ng, e_gs = _site_matrix(kind, M, N, n)
     log_w = beta * cos_phi
-    shift = float(np.max(log_w))
-    A = R * np.exp((log_w - shift) / 2)
-    H = A @ A.T  # = R W R^T; one buffer on both sides, so numpy runs a single syrk
-    # C = T R, T the row fold of _with_border, so G = T H T^H = (T (T H)^H)^H: two folds cost
-    # far less than T @ H @ T^H, whose dense complex products match the syrk at N = 100
-    G = H if kind == "ferro" else _with_border(_with_border(H, N, Ng).conj().T, N, Ng).conj().T
+    shift = float(log_w[0] if beta >= 0 else log_w[-1])  # the largest: cos phi falls over [0, pi]
+    A = F * np.exp((log_w - shift) / 2)
+    X, Y, hx = A[:nx], A[nx:], (Ng + 1) // 2  # hx of X's rows are site rows, and Ng - hx of Y's
+    G = np.zeros((N, N))
+    np.matmul(Y, Y.T, out=G[hx:, hx:])  # one buffer on both sides, so numpy runs a single syrk
+    if N == Ng:
+        np.matmul(X, X.T, out=G[:hx, :hx])
+    else:  # the border rows of the domain wall sit in both halves
+        GX = X @ X.T
+        G[:hx, :hx], G[:hx, Ng:], G[Ng:, :hx] = GX[:hx, :hx], GX[:hx, hx:], GX[hx:, :hx]
+        G[Ng:, Ng:] += GX[hx:, hx:]
     try:
         log_det, ratio = _log_det(G, border=_plane_waves(n) if kind == "domain_wall" and n else None)
     except np.linalg.LinAlgError:
-        Y = (A.T if kind == "ferro" else _with_border(A, N, Ng).conj().T)[np.argsort(-cos_phi)]
-        r = np.linalg.qr(Y[:, np.argsort(-np.linalg.norm(Y, axis=0))], mode="r")
-        with np.errstate(divide="ignore"):  # a zero on R's diagonal is a log of -inf
-            log_det, ratio = 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r))))), math.nan
-    return log_det + N * shift + beta * e_gs - (N + Ng) * math.log(M + 1), ratio
+        ratio = math.nan
+    if not ratio <= PIVOT_RATIO_WARNING:
+        return _qr_log_det(kind, M, N, n, beta) + beta * e_gs - (N + Ng) * math.log(M + 1), math.nan
+    return log_det + N * shift + beta * e_gs + (N - Ng) * math.log(M + 1), ratio
+
+
+def _qr_log_det(kind: str, M: int, N: int, n: int, beta: float) -> float:
+    """log det(C W C^H), W unscaled, by a Householder QR of (C W^(1/2))^H.
+
+    Rows sorted by decreasing weight, columns by decreasing norm (Cox &
+    Higham, BIT 38, 1998); an exact zero on R's diagonal gives -inf.
+    """
+    R, cos_phi, Ng, _ = _unfolded_rows(kind, M, N, n)
+    log_w = beta * cos_phi
+    shift = float(np.max(log_w))
+    A = R * np.exp((log_w - shift) / 2)
+    Y = (A.T if kind == "ferro" else _with_border(A, N, Ng).conj().T)[np.argsort(-cos_phi)]
+    r = np.linalg.qr(Y[:, np.argsort(-np.linalg.norm(Y, axis=0))], mode="r")
+    with np.errstate(divide="ignore"):
+        return 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r))))) + N * shift
 
 
 def _log_det(G: np.ndarray, border: np.ndarray | None = None) -> tuple[float, float]:
@@ -410,11 +498,11 @@ def _log_det(G: np.ndarray, border: np.ndarray | None = None) -> tuple[float, fl
     of their Schur complement B L_bb (B L_bb)^H, where G = L L^H.
     """
     L = np.linalg.cholesky(G)
-    diag2 = np.abs(np.diagonal(L)) ** 2
+    diag2 = np.diagonal(L) ** 2
     log_det = float(np.sum(np.log(diag2)))
     if border is not None:
         BL = border @ L[-len(border):, -len(border):]
-        diag2[-len(border):] = np.abs(np.diagonal(np.linalg.cholesky(BL @ BL.conj().T))) ** 2
+        diag2[-len(border):] = np.diagonal(np.linalg.cholesky(BL @ BL.T)) ** 2
     return log_det, float(np.max(diag2) / np.min(diag2))
 
 
@@ -425,7 +513,7 @@ def _minor_terms(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndar
     chunks of about MINOR_ENTRIES matrix entries, each chunk's minors by one
     batched slogdet; a zero minor has log -inf.
     """
-    R, cos_phi, Ng, e_gs = _site_matrix(kind, M, N, n)
+    R, cos_phi, Ng, e_gs = _unfolded_rows(kind, M, N, n)
     C = _with_border(R, N, Ng)  # |det C[:, S]| is that of the full matrix, whose phases R drops
     subsets = combinations(range(M + 1), N)
     chunk = max(1, MINOR_ENTRIES // (N * N))
@@ -486,7 +574,7 @@ def _persistence(kind: str, M: int, N: int, n: int, beta, method: str, max_state
         log_value = -math.inf  # no room for n empty sites: the projector kills the state
     elif method == "determinant":
         log_value, ratio = _gram_log_value(kind, M, N, n, b)
-        if not ratio <= PIVOT_RATIO_WARNING:  # a NaN estimate is ill-conditioned too
+        if not ratio <= PIVOT_RATIO_WARNING:  # NaN: the QR recomputed a value past the gate
             warnings.append(f"ill-conditioned determinant (conditioning estimate {ratio:.2e})")
     else:
         if comb(M + 1, N) > max_states:
@@ -510,10 +598,11 @@ def persistence_ferro(
     Gram determinant det(C W C^H); the spectral path is its Cauchy-Binet
     expansion over the N-subsets of the momenta, the Bethe states.  Both work
     in log space, so log_abs stays finite where the value over- or underflows.
-    The determinant path warns when its estimate passes PIVOT_RATIO_WARNING, or
-    is nan, where a QR, maybe short of digits, stands in for Cholesky; a value
-    above 1 is warned too.  The value is 1 at n = 0.  beta is real; else
-    ValueError, also at n = 0 or N = 0.
+    The determinant path's estimate is the pivot ratio of the folded Gram's
+    Cholesky; a value whose Cholesky fails or whose estimate passes
+    PIVOT_RATIO_WARNING is recomputed by a sorted QR and warned with estimate
+    nan.  A value above 1 is warned too.  The value is 1 at n = 0.  beta is real;
+    else ValueError, also at n = 0 or N = 0.
     """
     return _persistence("ferro", M, N, n, beta, method, max_states)
 
@@ -525,7 +614,9 @@ def persistence_domain_wall(
 
     C holds N-n site-sum rows on the (N-n)-particle ground state stacked on
     n plane-wave rows; the two paths are det(C W C^H) and its Cauchy-Binet
-    expansion, warned as for persistence_ferro.  The value is 1 at n = 0.
-    beta is real; anything else raises ValueError, also at n = 0 or N = 0.
+    expansion, warned and recomputed as for persistence_ferro; the
+    determinant path runs in real arithmetic only.  The value is 1 at
+    n = 0.  beta is real; anything else raises ValueError, also at n = 0 or
+    N = 0.
     """
     return _persistence("domain_wall", M, N, n, beta, method, max_states)

@@ -191,12 +191,17 @@ def test_count_output_bytes_pinned(command, capsys):
 # domain-wall (200,16) entry was re-recorded when the determinant path went to
 # real arithmetic.  Its exact_log column moved toward 50-digit Gram values, to
 # within 2e-14 of them: (n, beta) = (2,3) from 5.6e-14 off, (5,3) from -4.2e-13
-# and (5,20) from 5.5e-13; (2,20) prints the same digits
+# and (5,20) from 5.5e-13; (2,20) prints the same digits.  The ferro (60,6) and
+# domain-wall (200,16) entries were re-recorded when the Gram determinant was
+# folded by the ring's reflection into real halves normalized by 1/(M+1):
+# exact_log at (200,16,5,3) from -2.2e-14 to -1.5e-15 off a 32-digit Gram value,
+# (60,6,1,8) from -1.3e-14 to -5.7e-15 and (60,6,1,40) from +1.5e-14 to -1.3e-14
+# off 40-digit ones
 PINNED_ASYM_OUTPUTS = {
     "asym ferro --M 60 --N 6 --n 1,3 --beta 8,40 --exact-max-M 60":
-        "ee69a3a85b91043db290f5e64fe2f96617e0ce55fa233a61d287d5e34052403e",
+        "98db5932a638a37f0e11e9d07f4d32c8a7d408649553751f1dbb671682d97b29",
     "asym domain_wall --M 200 --N 16 --n 2,5 --beta 3,20 --exact-max-M 200":
-        "09d570605d0698842b0a8ad71f2c4eb34a66b67f4b5ce212a0fa38d7f58035fb",
+        "670e50fc93303fbe659e42a11e0b8e987b217c8d75aebe4ae29cee8b3b9bde0e",
     "asym ferro --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
         "36baa4dd34b40eb70e91f4ee967dfe57453d0ce10f89343ab2f275e54aaa9499",
     "asym domain_wall --M 1000 --N 100 --n 3 --beta 1 --exact-max-M 24":
@@ -219,18 +224,21 @@ def test_asym_output_bytes_pinned(command, capsys):
 # when the determinant path went to real arithmetic (phase-free Dirichlet
 # rows, one real Gram product per beta): their values moved in the last
 # printed digits, by at most 1.7e-11 relative, to within 1.8e-13 of 32-digit
-# Gram values, from up to 1.7e-11 off
+# Gram values, from up to 1.7e-11 off.  All five were re-recorded when the
+# Gram determinant was folded into real halves normalized by 1/(M+1), which
+# drops the cancellation against (N+Ng) log(M+1): their 14 moved values went
+# from up to 1.8e-13 to within 5.8e-14 of 32-digit Gram values (log errors)
 PINNED_DET_OUTPUTS = {
     "correlator ferro --M 1000 --N 60 --n 1,3 --beta 0.5,3":
-        "8941a671dc41281c446d4eb73e83bf03c2a0b3e28b78a48649eb09464ceda9fc",
+        "9b59468e05927dd088d7897ef0d21e6794d968e59e65511914d01d97235f835b",
     "correlator domain_wall --M 1000 --N 60 --n 1,3 --beta 0.5,3":
-        "86fba67c20f0e21d88837e17e970107106e863294eeba861a46d51a10a474409",
+        "d3f16f72ab5a82fda62520de9f2affdf3cf4c43f045f33e3a60d3d07ce9d362b",
     "correlator ferro --M 1000 --N 100 --n 3 --beta 1":
-        "5ae46ee22cfda2488d87b0cd522573e660fdc54c69167e0a3f554b89991935b2",
+        "ea283d7a442de046ba02096c4694ef04fd4bff0fdaa5b0cf1ea3e4146116787e",
     "correlator domain_wall --M 1000 --N 100 --n 3 --beta 1":
-        "5caf4138220255fc43acfd420568feeb29c16d45ddea9fa1bafe44c38748828f",
+        "ec2a30937dbf9013223cc58d365777e50194752f42ac933ee5cde98dd1112cf7",
     "asym ferro --M 400 --N 40 --n 2,5 --beta 1,6 --exact-max-M 400":
-        "4d37fc53fdb2d8822b54e00f0d4fce3df474cf1a9d341690f7c56b4d4ce82f3f",
+        "0b0a37d3d9401ffc4a3f5978e1c923d197958246eaaa1f350e91d9ab5a335261",
 }
 
 

@@ -517,6 +517,102 @@ def _mp_gram_log(kind, M, N, n, beta, dps=40):
         return float(mpmath.log(mpmath.re(mpmath.det(G))) + beta * e_gs - (N + Ng) * mpmath.log(M + 1))
 
 
+def _folded_gram(F, nx, Ng, N, w):
+    """G' from the folded halves X = F[:nx], Y = F[nx:] and the window's weights w.
+
+    Rows: X's hx site rows, Y's Ng - hx site rows, then the border rows, whose
+    block is the sum of both halves' products.
+    """
+    hx = (Ng + 1) // 2
+    x_at = np.r_[np.arange(hx), np.arange(Ng, N)]
+    y_at = np.arange(hx, N)
+    G = np.zeros((N, N))
+    for rows, at in ((F[:nx], x_at), (F[nx:], y_at)):
+        G[np.ix_(at, at)] += (rows * w) @ rows.T
+    return G
+
+
+def _mirror(kind, M, N, n):
+    """(J, sigma, Pi): column J[j] = (N-1-j) mod (M+1) is j's mirror, and C[:, J] sigma = Pi conj(C)."""
+    Ng, lo = (N, n) if kind == "ferro" else (N - n, 0)
+    j = np.arange(M + 1)
+    sigma = np.where(j <= N - 1, 1.0, (-1.0) ** (M - lo))  # J wraps round the grid from j = N on
+    Pi = np.zeros((N, N))
+    Pi[np.arange(Ng), np.arange(Ng)[::-1]] = 1.0  # reverse the site rows
+    Pi[np.arange(Ng, N), np.arange(Ng, N)] = (-1.0) ** np.arange(N - Ng)  # border row r times (-1)^r
+    return (N - 1 - j) % (M + 1), sigma, Pi
+
+
+def _valid_chains(M_max):
+    for M in range(M_max + 1):
+        for N in range(1, M + 2):
+            for n in range(1, M + 2 - N):
+                yield "ferro", M, N, n
+            for n in range(1, N + 1):
+                yield "domain_wall", M, N, n
+
+
+class TestFold:
+    """The reflection phi -> -phi folds C W C^H into two real half-width products."""
+
+    def test_mirror_identity(self):
+        for kind, M, N, n in _valid_chains(15):
+            R, cos_phi, Ng, _ = xx0core._unfolded_rows(kind, M, N, n)
+            C = xx0core._with_border(R, N, Ng)
+            J, sigma, Pi = _mirror(kind, M, N, n)
+            assert np.max(np.abs(cos_phi[J] - cos_phi)) <= 1e-14, (kind, M, N, n)  # phi near 2 pi rounds pi
+            err = np.max(np.abs(C[:, J] * sigma - Pi @ C.conj()))
+            assert err <= 1e-12 * max(1.0, np.max(np.abs(C))), (kind, M, N, n)
+
+    def test_folded_gram_is_the_unfolded_gram(self, monkeypatch):
+        # every chain with M <= 12, so f = 0, 1 and 2 self-mirrored columns and both parities
+        # of Ng occur.  G' = T G T^H / (M+1)^2 for the unitary T of _site_matrix's row change:
+        # (e_s + e_s')/2^.5, the middle e_p, i(e_s - e_s')/2^.5, s' = Ng-1-s, and (-i)^(r mod 2)
+        # on border row r.  Entry by entry, on the scale of its diagonal; the log-determinants
+        # agree within 1e-12 wherever both pivot ratios are <= 100 (1313 of the 2457 values),
+        # beyond which double-precision Cholesky on either side loses more than that
+        reach = []
+        real_dirichlet = xx0core._dirichlet
+
+        def dirichlet(M, lo, d):
+            reach.append(np.max(np.abs(d)) / (2 * (M + 1)))
+            return real_dirichlet(M, lo, d)
+
+        monkeypatch.setattr(xx0core, "_dirichlet", dirichlet)
+        compared, occurring = set(), set()
+        for kind, M, N, n in _valid_chains(12):
+            xx0core._site_matrix.cache_clear()
+            F, nx, cos_w, Ng, _ = xx0core._site_matrix(kind, M, N, n)
+            R, cos_phi, _, _ = xx0core._unfolded_rows(kind, M, N, n)
+            C = xx0core._with_border(R, N, Ng)
+            p, hx = Ng // 2, (Ng + 1) // 2
+            T = np.zeros((N, N), dtype=complex)
+            for s in range(p):
+                T[s, [s, Ng - 1 - s]] = sqrt(0.5), sqrt(0.5)
+                T[hx + s, [s, Ng - 1 - s]] = 1j * sqrt(0.5), -1j * sqrt(0.5)
+            T[p:hx, p:hx] = np.eye(hx - p)
+            T[Ng:, Ng:] = np.diag((-1j) ** (np.arange(N - Ng) % 2))
+            TC = T @ C / (M + 1)
+            case = (kind, (M + N + 1) % 2 + N % 2, Ng % 2)  # f self-mirrored columns, Ng's parity
+            occurring.add(case)
+            for beta in (0.0, 1.0, 10.0):
+                shift = beta * cos_phi.max()
+                G = _folded_gram(F, nx, Ng, N, np.exp(beta * cos_w - shift))
+                want = (TC * np.exp(beta * cos_phi - shift)) @ TC.conj().T
+                scale = np.sqrt(np.outer(np.diagonal(G), np.diagonal(G)))
+                assert np.all(np.abs(G - want) <= 1e-13 * scale), (kind, M, N, n, beta)
+                got, ratio = _gram_log_value(kind, M, N, n, beta)
+                L = np.linalg.cholesky(want)
+                diag2 = np.abs(np.diagonal(L)) ** 2
+                if max(ratio, np.max(diag2) / np.min(diag2)) <= 1e2:
+                    unfolded = float(np.sum(np.log(diag2))) + N * shift + beta * xx0core._ground_energy(M, Ng)
+                    unfolded += (N - Ng) * math.log(M + 1)
+                    assert abs(got - unfolded) <= 1e-12, (kind, M, N, n, beta)
+                    compared.add(case)
+        assert max(reach) < 1
+        assert compared == occurring and len(occurring) == 10  # ferro's Ng = N has N's parity, which fixes f's
+
+
 class TestGramDriver:
     def test_matches_table_contraction(self):
         # Random chains with M <= 40, N <= 8 and n <= 3.  Ferro n stays at
@@ -548,26 +644,30 @@ class TestGramDriver:
             assert abs(log_value.real - _mp_gram_log(kind, M, N, n, beta)) <= 1e-13, (kind, M, N, n, beta)
 
     def test_border_rows_span_the_plane_waves(self):
-        # B times the border rows u_j exp(i(M+1-n) phi/2) gives the plane waves
-        # exp(-ir phi), r = n-1..0, with the column phase exp(iM phi/2)
-        for M, N in ((7, 6), (40, 12)):
-            for n in range(1, N):
-                R, _, Ng, _ = xx0core._site_matrix("domain_wall", M, N, n)
-                phi = pi * xx0core._twice_m(M, N) / (M + 1)
+        # B' is real, and B' times the folded border rows x_r + i y_r gives the plane waves
+        # exp(-ir phi), r = n-1..0, with the column phase exp(iM phi/2), over the window's
+        # columns (scaled by 2^.5 / (M+1) where a column stands for two)
+        for M, N in ((7, 6), (8, 6), (40, 12), (41, 13)):
+            for n in range(1, N + 1):
+                F, nx, cos_phi, Ng, _ = xx0core._site_matrix("domain_wall", M, N, n)
                 B = xx0core._plane_waves(n)
-                want = np.exp(1j * np.multiply.outer(M / 2 - np.arange(n - 1, -1, -1), phi))
-                assert np.max(np.abs(B @ (R[Ng:N] + 1j * R[N:]) - want)) <= 1e-12, (M, N, n)
-                assert abs(abs(np.linalg.det(B)) - 1) <= 1e-12, n
+                assert B.dtype == float and abs(abs(np.linalg.det(B)) - 1) <= 1e-12, n
+                X, Y, hx, p = F[:nx], F[nx:], (Ng + 1) // 2, Ng // 2
+                tm = np.arange((N - 1) % 2, M + 2, 2)
+                scale = np.where((tm == 0) | (tm == M + 1), 1.0, sqrt(2)) / (M + 1)
+                want = np.exp(1j * np.multiply.outer(M / 2 - np.arange(n - 1, -1, -1), pi * tm / (M + 1)))
+                assert np.max(np.abs(B @ (X[hx:] + 1j * Y[p:]) / scale - want)) <= 1e-12, (M, N, n)
 
     def test_estimate_is_the_plane_wave_grams(self):
-        # the conditioning estimate is the pivot ratio of the Gram of C with
-        # plane-wave border rows, whose calibration the warning keeps
-        for M, N, n, beta in ((200, 16, 5, 20.0), (400, 10, 6, 30.0), (60, 6, 3, 8.0)):
-            R, cos_phi, Ng, _ = xx0core._site_matrix("domain_wall", M, N, n)
-            C = xx0core._with_border(R, N, Ng).astype(complex)
-            C[Ng:] = xx0core._plane_waves(n) @ C[Ng:]
-            w = np.exp(beta * (cos_phi - cos_phi.max()))
-            diag2 = np.abs(np.diagonal(np.linalg.cholesky((C * w) @ C.conj().T))) ** 2
+        # the conditioning estimate is the pivot ratio of the folded Gram G' = X W X^T (+) Y W Y^T,
+        # its last n pivots those of the real plane-wave border B'
+        for M, N, n, beta in ((200, 16, 5, 20.0), (400, 10, 6, 30.0), (60, 6, 3, 8.0), (61, 7, 2, 3.0)):
+            F, nx, cos_phi, Ng, _ = xx0core._site_matrix("domain_wall", M, N, n)
+            G = _folded_gram(F, nx, Ng, N, np.exp(beta * (cos_phi - cos_phi.max())))
+            L = np.linalg.cholesky(G)
+            diag2 = np.diagonal(L) ** 2
+            BL = xx0core._plane_waves(n) @ L[Ng:, Ng:]
+            diag2[Ng:] = np.diagonal(np.linalg.cholesky(BL @ BL.T)) ** 2
             _, ratio = _gram_log_value("domain_wall", M, N, n, beta)
             assert ratio == pytest.approx(np.max(diag2) / np.min(diag2), rel=1e-5), (M, N, n, beta)
 
@@ -616,7 +716,8 @@ class TestGramDriver:
         assert abs(got.log_abs - math.log(0.0400181572392)) <= 1e-10
         assert any("ill-conditioned" in w for w in got.warnings)
 
-    # Cholesky fails on each; the spectral path is exact there
+    # Cholesky fails on each, or for ferro (16,10,6) the gate sends its estimate 6e14 to the QR;
+    # the spectral path is exact there
     QR_CASES = [
         ("ferro", 16, 10, 6, 34.523),
         ("ferro", 32, 30, 3, 34.652),
@@ -658,13 +759,27 @@ class TestGramDriver:
 
     SILENT_FAULTS = [(14, 10, 4, 14.951), (16, 14, 3, 10.99)]  # ferro, within the ED budget
 
-    @pytest.mark.xfail(strict=True, reason="direction 1: the Gram determinant loses digits here without a warning")
     @pytest.mark.parametrize("M, N, n, beta", SILENT_FAULTS)
     def test_silent_faults_are_accurate_or_warn(self, M, N, n, beta):
-        # the log value is 7.8e-4 and -3.0e-4 off the oracle, with no warning
+        # folded estimates 2.3e11 and 2.9e11 exceed PIVOT_RATIO_WARNING, so the QR recomputes both
         got = persistence_ferro(M, N, n, beta)
         want = edoracle.oracle_correlator("ferro", M, N, n, beta).real
         assert abs(got.log_abs - math.log(want)) <= 1e-8 or got.warnings
+
+    def test_gate_recomputes_an_accepted_cholesky(self):
+        # the folded Cholesky succeeds here with estimate 6e14 and a value 21 nats off; the gate
+        # sends it to the QR, which lands on the spectral path, and the value stays warned
+        M, N, n, beta = 16, 10, 6, 34.523
+        want = persistence_ferro(M, N, n, beta, method="spectral_sum")
+        F, nx, cos_w, Ng, e_gs = xx0core._site_matrix("ferro", M, N, n)
+        shift = beta * cos_w.max()
+        log_det, ratio = _log_det(_folded_gram(F, nx, Ng, N, np.exp(beta * cos_w - shift)))
+        assert ratio > xx0core.PIVOT_RATIO_WARNING
+        assert abs(log_det + N * shift + beta * e_gs - want.log_abs) > 10
+        assert math.isnan(_gram_log_value("ferro", M, N, n, beta)[1])
+        got = persistence_ferro(M, N, n, beta)
+        assert abs(got.log_abs - want.log_abs) <= 1e-9
+        assert any("ill-conditioned" in w for w in got.warnings)
 
     @pytest.mark.parametrize("M, N, n, beta", SILENT_FAULTS)
     def test_spectral_path_is_exact_at_the_silent_faults(self, M, N, n, beta):
@@ -707,6 +822,7 @@ class TestGramDriver:
 def _clear_determinant_caches():
     xx0core._gram_log_value.cache_clear()
     xx0core._site_matrix.cache_clear()
+    xx0core._unfolded_rows.cache_clear()
 
 
 class TestDeterminantCaches:
@@ -742,17 +858,20 @@ class TestDeterminantCaches:
                 assert any("non-finite" in w for w in res.warnings)
 
     def test_cached_site_matrix_is_read_only_and_kept(self):
-        # ferro keeps N real rows; the domain wall N-n site rows and 2n border rows
-        for kind, rows in (("ferro", 4), ("domain_wall", 6)):
+        # one read-only array holds both real halves over the K = 11 momenta in [0, pi]:
+        # X = F[:nx], ferro's 2 even site rows, the domain wall's 1 and its 2 border rows,
+        # and Y = F[nx:], the 2 (1) odd site rows and the other 2 border parts
+        for kind, shape, nx in (("ferro", (4, 11), 2), ("domain_wall", (6, 11), 3)):
             _clear_determinant_caches()
-            R, cos_phi, _, _ = xx0core._site_matrix(kind, 20, 4, 2)
-            assert R.shape == (rows, 21) and R.dtype == float
-            assert not R.flags.writeable and not cos_phi.flags.writeable
-            before = R.tobytes()
+            F, nx_got, cos_phi, _, _ = xx0core._site_matrix(kind, 20, 4, 2)
+            assert F.shape == shape and nx_got == nx and F.dtype == float and cos_phi.shape == (11,)
+            assert not F.flags.writeable and not cos_phi.flags.writeable
+            before = F.tobytes()
             for beta in (1.5, 6.0, 2.0):
                 _gram_log_value(kind, 20, 4, 2, beta)
-            assert xx0core._site_matrix(kind, 20, 4, 2)[0] is R
-            assert R.tobytes() == before
+            assert xx0core._site_matrix(kind, 20, 4, 2)[0] is F
+            assert F.tobytes() == before
+            assert xx0core._site_matrix.cache_info().misses == 1
 
     def test_cold_evaluation_stays_small(self):
         # test_memory_and_no_table may be served from the cache; here R and G are built
@@ -800,6 +919,8 @@ class TestDeterminantCaches:
         # one Dirichlet table per site build: ferro sums over sites n..M, the domain wall over 0..M for every n
         assert sorted(tables) == [0, 0, 0, 1, 2, 3]
         assert len(gram) == 2 * len(ns) * len(betas)
+        # every value passed the gate: the unfolded rows of the QR fallback were never built
+        assert xx0core._unfolded_rows.cache_info().misses == 0
 
 
 def _schur_terms(kind, M, N, n):
