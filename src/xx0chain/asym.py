@@ -32,7 +32,7 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=40)  # the whole domain
 def barnes_g_integer(n: int) -> int:
     """G(n+1) = 0! * 1! * ... * (n-1)! as an exact integer, for 1 <= n <= 40."""
     if not 1 <= n <= 40:

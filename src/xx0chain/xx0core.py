@@ -35,7 +35,9 @@ it built last (read-only, shared by every beta of the sweep).  The `asym`
 tables read back the correlators that the `correlator` tables of one chain
 have just computed, so _gram_log_value keeps the recent Gram determinants,
 keyed on float(beta), beta being real throughout (_real_beta); callers
-still get a fresh CorrelatorResult with their own params.
+still get a fresh CorrelatorResult with their own params.  The QR fallback's
+C is rebuilt on every call, as no workload revisits it; the spectral terms
+keep each kind's last chain, which its beta sweep reads back.
 """
 
 from __future__ import annotations
@@ -304,7 +306,7 @@ class CorrelatorResult:
     def __post_init__(self):
         if self.log_abs is None:
             mag = abs(self.value)
-            object.__setattr__(self, "log_abs", math.log(mag) if mag > 0 else -math.inf)
+            object.__setattr__(self, "log_abs", -math.inf if mag == 0 else math.log(mag))  # NaN and inf stay
 
 
 def _sin_quarter(k: np.ndarray, M: int) -> np.ndarray:
@@ -338,7 +340,7 @@ def _border_rows(M: int, n: int, tm: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _ground_energy(M: int, Ng: int) -> float:
     """E_gs = -sum cos theta over the Ng-particle ground state's roots."""
-    return -float(np.sum(np.cos(pi * (2 * np.arange(Ng) - (Ng - 1)) / (M + 1))))
+    return -float(np.sum(np.cos(pi * _twice_m(M, Ng)[:Ng] / (M + 1))))
 
 
 @lru_cache(maxsize=1)  # the halves are beta-independent and beta is swept innermost
@@ -362,7 +364,7 @@ def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, int, np
     which _plane_waves' real B' maps onto the plane waves.  Cached, read-only.
     """
     Ng, lo = _site_rows(kind, N, n)
-    tm = np.arange((N - 1) % 2, M + 2, 2)  # 2m over [0, pi]: the columns N//2 .. (N+M)//2
+    tm = _twice_m(M, N)[N // 2 : (N + M) // 2 + 1]  # 2m over [0, pi]
     K, p, hx = len(tm), Ng // 2, (Ng + 1) // 2
     own = [0] * (N % 2) + [K - 1] * ((N + M + 1) % 2)  # the columns at phi = 0 and pi, their own mirror
     pair = np.full(K, math.sqrt(2))  # a column that stands for two has weight 2
@@ -390,30 +392,26 @@ def _site_matrix(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, int, np
     return F, N - p, cos_phi, Ng, _ground_energy(M, Ng)
 
 
-@lru_cache(maxsize=1)  # built only for the QR fallback and the spectral minors
-def _unfolded_rows(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """(R, cos phi, Ng, E_gs): real rows of the N x (M+1) matrix C.
+def _unfolded_rows(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, cos phi): the N x (M+1) matrix C over the N-particle momenta phi, without its phases.
 
-    Columns are the N-particle momenta phi, Ng is the ground state's particle
-    number.  Without their phases exp(ic theta) and exp(-ic phi), c = (lo+M)/2,
-    the Ng site-sum rows over k = lo..M are windows onto one Dirichlet table,
-    R[s, j] = _dirichlet(2m_s + 2m_j).  Ferro: Ng = N, lo = n.  Domain wall:
-    Ng = N-n, lo = 0, then the real and then the imaginary parts of the n
-    border rows of _site_matrix.  Cached, read-only.
+    Without their phases exp(ic theta) and exp(-ic phi), c = (lo+M)/2, the Ng
+    site-sum rows over k = lo..M (_site_rows) are windows onto one Dirichlet
+    table, C[s, j] = _dirichlet(2m_s + 2m_j).  Ferro: those N real rows.
+    Domain wall: the N-n site rows over the n complex border rows
+    u_r exp(i(M+1-n) phi/2) of _site_matrix.  Built afresh on every call: no
+    workload asks the QR fallback or the spectral minors twice for one chain.
     """
     Ng, lo = _site_rows(kind, N, n)
     tm = _twice_m(M, N)
-    R = np.empty((0, M + 1))
+    C = np.empty((0, M + 1))
     if Ng:
         t = _dirichlet(M, lo, np.arange(2 - Ng - N, 2 * M + Ng - N + 1, 2))
-        R = as_strided(t, (Ng, M + 1), t.strides * 2, writeable=False)  # R[s, j] = t[s + j]
+        C = as_strided(t, (Ng, M + 1), t.strides * 2, writeable=False)  # C[s, j] = t[s + j]
     if kind == "domain_wall":
         u, re, im = _border_rows(M, n, tm)
-        R = np.vstack([R, u * re, u * im])
-    cos_phi = np.cos(pi * tm / (M + 1))
-    R.setflags(write=False)
-    cos_phi.setflags(write=False)
-    return R, cos_phi, Ng, _ground_energy(M, Ng)
+        C = np.vstack([C, u * re + 1j * (u * im)])
+    return C, np.cos(pi * tm / (M + 1))
 
 
 @lru_cache(maxsize=16)
@@ -429,11 +427,6 @@ def _plane_waves(n: int) -> np.ndarray:
     B = np.stack(K[1:], axis=1) * (-1.0) ** ((np.arange(n) + 1) // 2) / 2 ** ((n - 1) / 2)
     B.setflags(write=False)
     return B
-
-
-def _with_border(X: np.ndarray, N: int, Ng: int) -> np.ndarray:
-    """X's first N rows, with rows N.. added times i to rows Ng..N-1: C from R, for the domain wall."""
-    return X if len(X) == N else np.concatenate([X[:Ng], X[Ng:N] + 1j * X[N:]])
 
 
 @lru_cache(maxsize=256)  # holds a chain's correlator and asym grids, both kinds, many times over
@@ -460,12 +453,9 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta: float) -> tuple[flo
     X, Y, hx = A[:nx], A[nx:], (Ng + 1) // 2  # hx of X's rows are site rows, and Ng - hx of Y's
     G = np.zeros((N, N))
     np.matmul(Y, Y.T, out=G[hx:, hx:])  # one buffer on both sides, so numpy runs a single syrk
-    if N == Ng:
-        np.matmul(X, X.T, out=G[:hx, :hx])
-    else:  # the border rows of the domain wall sit in both halves
-        GX = X @ X.T
-        G[:hx, :hx], G[:hx, Ng:], G[Ng:, :hx] = GX[:hx, :hx], GX[:hx, hx:], GX[hx:, :hx]
-        G[Ng:, Ng:] += GX[hx:, hx:]
+    GX = X @ X.T  # the domain wall's border rows sit in both halves; ferro's X has none
+    G[:hx, :hx], G[:hx, Ng:], G[Ng:, :hx] = GX[:hx, :hx], GX[:hx, hx:], GX[hx:, :hx]
+    G[Ng:, Ng:] += GX[hx:, hx:]
     try:
         log_det, ratio = _log_det(G, border=_plane_waves(n) if kind == "domain_wall" and n else None)
     except np.linalg.LinAlgError:
@@ -476,16 +466,15 @@ def _gram_log_value(kind: str, M: int, N: int, n: int, beta: float) -> tuple[flo
 
 
 def _qr_log_det(kind: str, M: int, N: int, n: int, beta: float) -> float:
-    """log det(C W C^H), W unscaled, by a Householder QR of (C W^(1/2))^H.
+    """log det(C W C^H), W unscaled, by a Householder QR of (C W^(1/2))^H, C from _unfolded_rows.
 
     Rows sorted by decreasing weight, columns by decreasing norm (Cox &
     Higham, BIT 38, 1998); an exact zero on R's diagonal gives -inf.
     """
-    R, cos_phi, Ng, _ = _unfolded_rows(kind, M, N, n)
+    C, cos_phi = _unfolded_rows(kind, M, N, n)
     log_w = beta * cos_phi
     shift = float(np.max(log_w))
-    A = R * np.exp((log_w - shift) / 2)
-    Y = (A.T if kind == "ferro" else _with_border(A, N, Ng).conj().T)[np.argsort(-cos_phi)]
+    Y = (C * np.exp((log_w - shift) / 2)).conj().T[np.argsort(-cos_phi)]
     r = np.linalg.qr(Y[:, np.argsort(-np.linalg.norm(Y, axis=0))], mode="r")
     with np.errstate(divide="ignore"):
         return 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r))))) + N * shift
@@ -509,12 +498,13 @@ def _log_det(G: np.ndarray, border: np.ndarray | None = None) -> tuple[float, fl
 def _minor_terms(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(log|det C[:, S]|^2, E_S - E_gs) over the N-subsets S of the momenta, in ascending order.
 
-    S is a Bethe state's sorted quantum numbers.  The subsets are taken in
-    chunks of about MINOR_ENTRIES matrix entries, each chunk's minors by one
+    S is a Bethe state's sorted quantum numbers.  C is _unfolded_rows', whose
+    dropped phases leave every |det C[:, S]| as it is.  The subsets are taken
+    in chunks of about MINOR_ENTRIES matrix entries, each chunk's minors by one
     batched slogdet; a zero minor has log -inf.
     """
-    R, cos_phi, Ng, e_gs = _unfolded_rows(kind, M, N, n)
-    C = _with_border(R, N, Ng)  # |det C[:, S]| is that of the full matrix, whose phases R drops
+    C, cos_phi = _unfolded_rows(kind, M, N, n)
+    e_gs = _ground_energy(M, _site_rows(kind, N, n)[0])
     subsets = combinations(range(M + 1), N)
     chunk = max(1, MINOR_ENTRIES // (N * N))
     log_det2, d_energy = [], []
@@ -528,12 +518,12 @@ def _minor_terms(kind: str, M: int, N: int, n: int) -> tuple[np.ndarray, np.ndar
     return terms
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)  # a beta sweep reads one chain's terms back
 def _ferro_spectral_terms(M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _minor_terms("ferro", M, N, n)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _dw_spectral_terms(M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _minor_terms("domain_wall", M, N, n)
 

@@ -249,6 +249,37 @@ def test_determinant_output_bytes_pinned(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DET_OUTPUTS[command]
 
 
+# sha256 of stdout (csv) of the paths no entry above reaches, recorded while
+# the sorted QR and the spectral minors took C as real rows plus separate
+# imaginary border rows.  Each correlator value below fails the Cholesky gate:
+# the QR recomputes it, within 1e-9 of the spectral path, and the row is warned
+PINNED_FALLBACK_OUTPUTS = {
+    "correlator ferro --M 24 --N 20 --n 1 --beta 40":
+        "d6ffaee8fe76748e98fa72c38a4467068d968d240b9307a76d0416cd15167215",
+    "correlator ferro --M 16 --N 10 --n 6 --beta 34.523":
+        "0dd3dac7ed018b5834565dbd9207c92f82835039d8cdc63f7d2508d1980ef4fa",
+    "correlator ferro --M 32 --N 30 --n 3 --beta 34.652":
+        "3325e5da71b994b412ed34256da725109b090a98d174e37196610dd7ec31f330",
+    "correlator domain_wall --M 12 --N 8 --n 1 --beta 40":
+        "d3b1b4e87b70abc34903bb9e5ea3a8584fdb9db3e4d7b427713b4781dcbbee86",
+    "correlator domain_wall --M 13 --N 13 --n 5 --beta 34.843":
+        "528a1eddfafc8f19868ad12dc0050ab17ebb3c7ec2ebf9023d74db51aeab7950",
+    "correlator domain_wall --M 38 --N 37 --n 23 --beta 7.608":
+        "7031645f618cabc38f9a565705725467deea3d0182a8a27c1e23367d6ba4dd6e",
+    "correlator ferro --M 10 --N 3,4 --n 1,2 --beta 0,2.5,40 --method spectral_sum":
+        "567503dfd3bb5e2c00b8891504388573844ac300c08850ee1d852d8d86f82d7b",
+    "correlator domain_wall --M 10 --N 3,4 --n 1,2 --beta 0,2.5,40 --method spectral_sum":
+        "27f8af46cc0577147bd872a5721135530f10277e7b8dbd25ec835c2faa8177e9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_FALLBACK_OUTPUTS))
+def test_fallback_output_bytes_pinned(command, capsys):
+    rc, out = run_cli(command.split(), capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FALLBACK_OUTPUTS[command]
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         rc, out = run_cli(["verify"], capsys)

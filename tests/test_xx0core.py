@@ -336,6 +336,15 @@ class TestPersistenceBasics:
             assert persistence_ferro(6, 2, 0, 1.3, method=method).value == 1.0
             assert persistence_domain_wall(6, 2, 0, 1.3, method=method).value == 1.0
 
+    def test_result_log_abs_of_zero_nan_inf_and_finite_values(self):
+        def log_abs(value):
+            return xx0core.CorrelatorResult(value, "determinant", ()).log_abs
+
+        assert log_abs(0j) == -math.inf
+        assert math.isnan(log_abs(complex(math.nan, 0)))  # not an exact zero
+        assert log_abs(complex(math.inf, 0)) == math.inf
+        assert log_abs(complex(-3.0, 4.0)) == math.log(5.0)
+
     def test_raw_determinant_path_is_one_at_n_zero(self):
         # without the contract shortcut, the determinant still collapses to 1
         for M, N in [(4, 1), (5, 2), (6, 3), (7, 2)]:
@@ -557,8 +566,7 @@ class TestFold:
 
     def test_mirror_identity(self):
         for kind, M, N, n in _valid_chains(15):
-            R, cos_phi, Ng, _ = xx0core._unfolded_rows(kind, M, N, n)
-            C = xx0core._with_border(R, N, Ng)
+            C, cos_phi = xx0core._unfolded_rows(kind, M, N, n)
             J, sigma, Pi = _mirror(kind, M, N, n)
             assert np.max(np.abs(cos_phi[J] - cos_phi)) <= 1e-14, (kind, M, N, n)  # phi near 2 pi rounds pi
             err = np.max(np.abs(C[:, J] * sigma - Pi @ C.conj()))
@@ -583,8 +591,7 @@ class TestFold:
         for kind, M, N, n in _valid_chains(12):
             xx0core._site_matrix.cache_clear()
             F, nx, cos_w, Ng, _ = xx0core._site_matrix(kind, M, N, n)
-            R, cos_phi, _, _ = xx0core._unfolded_rows(kind, M, N, n)
-            C = xx0core._with_border(R, N, Ng)
+            C, cos_phi = xx0core._unfolded_rows(kind, M, N, n)
             p, hx = Ng // 2, (Ng + 1) // 2
             T = np.zeros((N, N), dtype=complex)
             for s in range(p):
@@ -822,7 +829,6 @@ class TestGramDriver:
 def _clear_determinant_caches():
     xx0core._gram_log_value.cache_clear()
     xx0core._site_matrix.cache_clear()
-    xx0core._unfolded_rows.cache_clear()
 
 
 class TestDeterminantCaches:
@@ -889,15 +895,33 @@ class TestDeterminantCaches:
             assert peak < limit_mib * 2**20, kind
 
     def test_every_cache_is_bounded(self):
-        caches = {name: obj for name, obj in vars(xx0core).items() if hasattr(obj, "cache_parameters")}
-        assert {"_site_matrix", "_gram_log_value"} <= set(caches)
+        from xx0chain import asym, qexact
+
+        caches = {
+            f"{mod.__name__}.{name}": obj
+            for mod in (asym, cli, edoracle, qexact, xx0core)
+            for name, obj in vars(mod).items()
+            if hasattr(obj, "cache_parameters")
+        }
+        want = {"xx0core._site_matrix", "xx0core._gram_log_value", "asym.barnes_g_integer"}
+        assert {f"xx0chain.{name}" for name in want} <= set(caches)
         for name, obj in caches.items():
             assert obj.cache_parameters()["maxsize"] is not None, name
+
+    def test_spectral_terms_keep_one_chain_per_kind(self):
+        # cross-check's shape on one chain: five beta, the determinant then the spectral path, both kinds
+        for kind, cache in (("ferro", xx0core._ferro_spectral_terms), ("domain_wall", xx0core._dw_spectral_terms)):
+            cache.cache_clear()
+            for beta in (0.0, 0.5, 3.0, 12.0, 30.0):
+                for method in ("determinant", "spectral_sum"):
+                    self.FNS[kind](10, 3, 2, beta, method=method)
+            info = cache.cache_info()
+            assert (info.hits, info.misses, info.maxsize, info.currsize) == (4, 1, 1, 1), kind
 
     def test_det_grid_sequence_does_each_piece_once(self, monkeypatch, capsys):
         # det-grid's shape on one chain: correlator then asym, both kinds, over one n x beta grid
         M, N, ns, betas = 40, 6, (1, 2, 3), (1.0, 2.5, 7.0)
-        tables, gram = [], []
+        tables, gram, unfolded = [], [], []
 
         def count_tables(M, lo, d, _f=xx0core._dirichlet):
             tables.append(lo)
@@ -907,8 +931,13 @@ class TestDeterminantCaches:
             gram.append(G.shape)
             return _f(G, border)
 
+        def count_unfolded(*args, _f=xx0core._unfolded_rows):
+            unfolded.append(args)
+            return _f(*args)
+
         monkeypatch.setattr(xx0core, "_dirichlet", count_tables)
         monkeypatch.setattr(xx0core, "_log_det", count_log_det)
+        monkeypatch.setattr(xx0core, "_unfolded_rows", count_unfolded)
         _clear_determinant_caches()
         grid = ["--M", str(M), "--N", str(N), "--n", ",".join(map(str, ns)), "--beta", ",".join(map(str, betas))]
         for command in ("correlator", "asym"):
@@ -920,7 +949,7 @@ class TestDeterminantCaches:
         assert sorted(tables) == [0, 0, 0, 1, 2, 3]
         assert len(gram) == 2 * len(ns) * len(betas)
         # every value passed the gate: the unfolded rows of the QR fallback were never built
-        assert xx0core._unfolded_rows.cache_info().misses == 0
+        assert unfolded == []
 
 
 def _schur_terms(kind, M, N, n):
