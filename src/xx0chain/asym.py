@@ -1,8 +1,8 @@
 """Low-temperature estimates of both persistence correlators, with their
 pieces: the log of a boxed plane-partition count (one float sum over the
-box's hook multiplicities, exact to round-off for every box), the
-Gaussian-ensemble normalization integral, and the integer Barnes G values
-behind it.
+box's hook multiplicities, exact to round-off for every box), the sum
+phi_N = log G(N+1) - (N/2) log(2*pi) in the chain-size/Mehta term, and the
+Barnes values G(N+1) as exact integers.
 
 The estimates keep their undetermined multiplicative constants symbolic:
 every asymptotic law is validated downstream as a slope or a ratio, never
@@ -19,13 +19,10 @@ from .boxcount import _box_exponents
 
 __all__ = [
     "barnes_g_integer",
-    "mehta_integral",
     "phi_n",
-    "big_phi",
     "AsymptoticEstimate",
     "ferro_asymptotic",
     "domain_wall_asymptotic",
-    "decreasing_regime",
     "log_box_count",
 ]
 
@@ -45,14 +42,6 @@ def barnes_g_integer(n: int) -> int:
     return out
 
 
-def mehta_integral(N: int) -> float:
-    """Gaussian-ensemble normalization: G(N+1) / (2*pi)^(N/2) = exp(phi_N).
-
-    Raises OverflowError from N = 28 on, where the value leaves the float range.
-    """
-    return math.exp(phi_n(N))
-
-
 # phi_n and log_box_count are memoized: a table repeats each N and each box for every beta row
 @lru_cache(maxsize=256, typed=True)
 def phi_n(N: int) -> float:
@@ -70,13 +59,6 @@ def _phi_pieces(N: int, M: int, beta: float) -> dict[str, float]:
         "critical_exponent": -0.5 * N * N * math.log(beta),
         "phi": N * N * math.log(2.0 * math.pi / (M + 1)) + 3.0 * phi_n(N),
     }
-
-
-def big_phi(N: int, M: int, beta: float) -> float:
-    """N^2 log(2*pi/(M+1)) - (N^2/2) log(beta) + 3*phi_N."""
-    if N < 1 or M < 1:
-        raise ValueError("need N, M >= 1")
-    return sum(_phi_pieces(N, M, beta).values())
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -135,16 +117,3 @@ def domain_wall_asymptotic(M: int, N: int, n: int, beta: float) -> AsymptoticEst
     if not 0 <= n <= N or M - N + 1 < 0:
         raise ValueError("need 0 <= n <= N and M >= N - 1")
     return _estimate(M, N, n, beta, N - n, M - N + 1)
-
-
-def decreasing_regime(T: float, M: int, N: int, n: int, amplitude_constant: float) -> bool:
-    """Whether the estimated empty-string correlator decreases as M, N grow.
-
-    True when T < N*M^2 / (c^2 (M-n)^4); the constant c is not fixed by the
-    theory and must be supplied by the caller.
-    """
-    if amplitude_constant <= 0:
-        raise ValueError("amplitude constant must be positive")
-    if not 0 <= n < M:
-        raise ValueError("need 0 <= n < M")
-    return T < N * M * M / (amplitude_constant**2 * (M - n) ** 4)

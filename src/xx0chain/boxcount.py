@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import prod
 
 from .errors import ExactDivisionError
 from .qexact import IndexTuples, LaurentPoly, _q_ratio, exact_det, exact_half, q_binomial_determinant, vandermonde
@@ -52,31 +52,13 @@ def _int_ratio(num, den) -> int:
     """prod(num) / prod(den), which must be an integer; num and den are lists
     of factors or {factor: multiplicity} maps, which Counter reads alike.
 
-    Built from prime exponents, so no big product is ever divided: e[v] starts
-    as the multiplicity of v in num less that in den, and from the top down
-    each composite v = p * (v // p) hands its e[v] to both factors, p being
-    a prime factor of v from a sieve.  What is left on the primes is the
-    factorization of the ratio.
+    One exact divmod of the two products; a remainder raises.
     """
-    mult = Counter(num)
-    mult.subtract(Counter(den))
-    top = max(mult, default=1)
-    pf = list(range(top + 1))  # pf[v] is a prime factor of v, and v itself iff v is prime
-    for p in range(2, isqrt(top) + 1):
-        if pf[p] == p:
-            pf[p * p::p] = [p] * len(range(p * p, top + 1, p))
-    e = [0] * (top + 1)
-    for v, m in mult.items():
-        e[v] = m
-    for v in range(top, 1, -1):
-        p = pf[v]
-        if p != v and e[v]:
-            e[p] += e[v]
-            e[v // p] += e[v]
-    primes = [p for p in range(2, top + 1) if pf[p] == p]
-    if any(e[p] < 0 for p in primes):
+    top, bottom = (prod(v**m for v, m in Counter(f).items()) for f in (num, den))
+    ratio, rest = divmod(top, bottom)
+    if rest:
         raise ExactDivisionError("box count did not reduce to an integer")
-    return prod(p ** e[p] for p in primes)
+    return ratio
 
 
 def zq(L: int, N: int, P: int) -> LaurentPoly:

@@ -38,7 +38,6 @@ __all__ = [
     "build_state_vector",
     "thermal_operator",
     "projector_empty_sites",
-    "domain_wall_insertion",
     "oracle_correlator",
 ]
 
@@ -118,7 +117,10 @@ def _hops(M: int, N: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_hamiltonian(M: int, N: int) -> np.ndarray:
-    """Dense real symmetric H on the N-down-spin sector, -1/2 per hop (read-only); for tests."""
+    """Dense real symmetric H on the N-down-spin sector, -1/2 per hop (read-only); for tests.
+
+    It stays in the library because the benchmark's per-layer metrics trace it
+    (edoracle.build_hamiltonian.self_s)."""
     D = sector_basis(M, N).dim
     i, c = _hops(M, N, np.arange(D))
     H = np.zeros((D, D))
@@ -277,7 +279,8 @@ def _times_exp(value: complex, exponent: float, beta: float) -> complex:
 def thermal_operator(M: int, N: int, beta) -> np.ndarray:
     """exp(-beta * H) = Y^H exp(-beta (w - E0)) Y exp(-beta E0), Y the eigen-coordinates of the identity;
     a real array, OverflowError beyond double range.  beta is real; anything else raises ValueError.
-    For tests; the oracle never forms it."""
+    For tests; the oracle never forms it.  It stays in the library because the benchmark's per-layer
+    metrics trace it (edoracle.thermal_operator.calls and .self_s)."""
     beta = _real_beta(beta)
     spectrum = _eigh_cached(M, N)
     Y = _coordinates(spectrum, np.eye(len(spectrum.psi)))
@@ -314,17 +317,6 @@ def _insertion(M: int, N: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     keep = np.flatnonzero((src >= n).all(axis=1))
     wall = np.broadcast_to(np.arange(n - 1, -1, -1), (len(keep), n))
     return keep, _colex_rank(M, np.concatenate((src[keep], wall), axis=1))
-
-
-def domain_wall_insertion(M: int, N: int, n: int) -> np.ndarray:
-    """Map from the (N-n)-sector into the N-sector inserting down spins at 0..n-1.
-
-    Configurations already occupied on 0..n-1 are annihilated.  A dense view for tests.
-    """
-    keep, rows = _insertion(M, N, n)
-    out = np.zeros((sector_basis(M, N).dim, sector_basis(M, N - n).dim))
-    out[rows, keep] = 1.0
-    return out
 
 
 @lru_cache(maxsize=ED_CACHE_SIZE)

@@ -1,10 +1,10 @@
 """Exact arithmetic in the formal variable q.
 
 Laurent polynomials with arbitrary-precision integer coefficients carry all
-q-combinatorics: Gaussian (q-)binomial coefficients, the q-Vandermonde
-convolution, binomial and q-binomial determinants, and a fraction-free
-determinant over the Laurent ring.  Identities in this layer are checked as
-coefficient-wise equalities, never by sampling q numerically.
+q-combinatorics: Gaussian (q-)binomial coefficients, binomial and q-binomial
+determinants, and a fraction-free determinant over the Laurent ring.
+Identities in this layer are checked as coefficient-wise equalities, never by
+sampling q numerically.
 
 Everything runs on Python integers, and all heavy arithmetic on one packed
 form: a dense coefficient list evaluated at X = 2^(8*nb), read as balanced
@@ -49,9 +49,6 @@ __all__ = [
     "q_number",
     "q_factorial",
     "q_binomial",
-    "q_vandermonde",
-    "es_special_R",
-    "es_special_L",
     "IndexTuples",
     "binomial_determinant",
     "q_binomial_determinant",
@@ -383,30 +380,6 @@ def q_binomial(n: int, r: int) -> LaurentPoly:
     return q_binomial(n, k) if k < r else _q_ratio(((n - k + i,), (i,)) for i in range(1, k + 1))
 
 
-def q_vandermonde(N: int, Np: int, r: int) -> LaurentPoly:
-    """Convolution sum_j q^((N-j)(r-j)) [N,j][N',r-j]; equals [N+N', r]."""
-    if N < 0 or Np < 0 or r < 0:
-        raise ValueError("q-Vandermonde requires non-negative arguments")
-    out = _ZERO
-    for j in range(0, min(r, N) + 1):
-        out = out + LaurentPoly.monomial(1, (N - j) * (r - j)) * q_binomial(N, j) * q_binomial(Np, r - j)
-    return out
-
-
-def es_special_R(r: int, N: int) -> LaurentPoly:
-    """R_r(N) = q^(r(r-1)/2) [N, r]: e_r at the points (1, q, ..., q^(N-1))."""
-    if r < 0:
-        raise ValueError("order must be non-negative")
-    return LaurentPoly.monomial(1, exact_half(r * (r - 1))) * q_binomial(N, r)
-
-
-def es_special_L(r: int, N: int) -> LaurentPoly:
-    """L_r(N) = q^(r(r+1)/2) [N, r]: e_r at the points (q, q^2, ..., q^N)."""
-    if r < 0:
-        raise ValueError("order must be non-negative")
-    return LaurentPoly.monomial(1, exact_half(r * (r + 1))) * q_binomial(N, r)
-
-
 @dataclass(frozen=True)
 class IndexTuples:
     """Two strictly increasing non-negative tuples of equal length."""
@@ -569,7 +542,11 @@ def _bareiss(a: list[list[int]]) -> int:
 
 
 def det_by_minors(m) -> LaurentPoly:
-    """Laplace expansion with memoization over column subsets (sizes <= ~8)."""
+    """Laplace expansion with memoization over column subsets (sizes <= ~8).
+
+    exact_det's test oracle; it stays in the library because the benchmark's
+    per-layer metrics trace it (qexact.det_by_minors.self_s).
+    """
     rows = _as_laurent_rows(m)
     n = len(rows)
 

@@ -6,9 +6,10 @@ numpy determinants) and an exact track (int/Fraction or LaurentPoly
 coordinates, fraction-free determinants).  The ring rule: _quotient makes
 every division, exactly on exact coordinates (exact_div on LaurentPoly, a
 Fraction or whole int on int/Fraction), so exact inputs give exact values.
-The dual Jacobi-Trudi determinant is the default Schur evaluation; the
-bialternant ratio is a cross-check that refuses coincident coordinates, and
-the tableau sum is a test-only oracle.
+The dual Jacobi-Trudi determinant is the Schur evaluation; the test oracles
+it is checked against, the bialternant ratio and the tableau sum, live in
+tests/oracles.py.  The two brute-force partition sums stay here because
+`verify` runs them against binet_cauchy_kernel.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "elementary_symmetric",
     "vandermonde",
     "schur_jacobi_trudi",
-    "schur_bialternant",
-    "schur_ssyt_oracle",
     "binet_cauchy_kernel",
     "binet_cauchy_bruteforce",
     "padded_schur_sum_bruteforce",
@@ -128,66 +127,6 @@ def _check_distinct(coords, track: str = _NUMERIC):
             raise DegenerateInputError(
                 "coincident coordinates; use schur_jacobi_trudi or a brute-force sum instead"
             )
-
-
-def schur_bialternant(lam, coords):
-    """Schur value as the ratio of alternants (requires distinct coordinates)."""
-    lam = Partition(lam)
-    coords = tuple(coords)
-    n = len(coords)
-    if len(lam) > n:
-        raise ValueError("partition has more parts than coordinates")
-    track = _classify(coords)
-    _check_distinct(coords, track)
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    num_rows = [[coords[j] ** (padded[k] + n - 1 - k) for k in range(n)] for j in range(n)]
-    den_rows = [[coords[j] ** (n - 1 - k) for k in range(n)] for j in range(n)]
-    return _quotient(_det_auto(num_rows, track), _det_auto(den_rows, track), track)
-
-
-def schur_ssyt_oracle(lam, coords, max_weight: int = 12, max_vars: int = 6):
-    """Schur value as a sum over semistandard tableaux (test oracle only).
-
-    Rows weakly increase, columns strictly increase, entries in 1..len(coords).
-    """
-    lam = Partition(lam)
-    coords = tuple(coords)
-    n = len(coords)
-    if lam.weight > max_weight or n > max_vars:
-        raise EnumerationBudgetError(
-            f"tableau enumeration budget is |shape| <= {max_weight}, vars <= {max_vars}"
-        )
-    if len(lam) > n:
-        return 0
-    if not lam:
-        return 1
-
-    total = 0
-
-    def fill_row(i: int, above: tuple[int, ...], acc):
-        nonlocal total
-        length = lam[i]
-
-        def rec(j: int, prev: int, row: list[int], weight):
-            nonlocal total
-            if j == length:
-                if i + 1 == len(lam):
-                    total += weight
-                else:
-                    fill_row(i + 1, tuple(row), weight)
-                return
-            lo = prev
-            if i > 0:
-                lo = max(lo, above[j] + 1)
-            for v in range(lo, n + 1):
-                row.append(v)
-                rec(j + 1, v, row, weight * coords[v - 1])
-                row.pop()
-
-        rec(0, 1, [], acc)
-
-    fill_row(0, (), 1)
-    return total
 
 
 def kernel_entry(z, exponent: int):

@@ -180,8 +180,9 @@ def efp_formfactor(state: BetheState, n: int) -> float:
     Colomo, Izergin, Korepin & Tognetti: it shares no code with the Gram path
     of persistence_ferro, which equals it at beta = 0.  `correlator efp` prints
     it because at beta = 0 it is the more accurate of the two: against a
-    50-digit det(I - K_n), (M,N,n) = (100,30,20) is 6.2e-10 off here and 3.3e-9
-    there, (200,40,30) 7.0e-11 and 3.1e-9, (60,20,10) 1.8e-15 and 1.2e-12.
+    50-digit det(I - K_n), (M,N,n) = (100,30,20) is 6.2e-10 off here and 1.0e-9
+    there, (200,40,30) 7.0e-11 and 5.1e-10, (60,20,10) 1.8e-15 and 1.0e-13
+    (relative errors).
     """
     M, N = state.M, state.N
     if not 0 <= n <= M + 1:
@@ -272,7 +273,8 @@ def walker_amplitude_multi(mu_left, mu_right, beta, M: int) -> complex:
     """Amplitude for N non-colliding walkers: determinant of single-walker entries.
 
     Endpoints are strictly decreasing site tuples of equal length; the
-    single-walker entries are taken on the N-particle momentum grid.  Real beta only, else ValueError.
+    single-walker entries are taken on the N-particle momentum grid.  Real beta only, else ValueError;
+    a determinant beyond double range raises OverflowError.
     """
     beta = _real_beta(beta)
     mu_left, mu_right = tuple(mu_left), tuple(mu_right)
@@ -287,7 +289,11 @@ def walker_amplitude_multi(mu_left, mu_right, beta, M: int) -> complex:
     if N == 0:
         return 1.0 + 0.0j
     f = _amplitude_table_cached(M, beta, N % 2 == 0)
-    return complex(np.linalg.det(f[np.subtract.outer(mu_left, mu_right) + M]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.linalg.det(f[np.subtract.outer(mu_left, mu_right) + M]))
+    if not np.isfinite(value):
+        raise OverflowError(f"walker amplitude beyond double range at beta = {beta}")
+    return value
 
 
 # -- persistence correlators ---------------------------------------------

@@ -16,14 +16,8 @@ import numpy as np
 import pytest
 
 from xx0chain import cli, edoracle
-from xx0chain.asym import barnes_g_integer, ferro_asymptotic, mehta_integral, phi_n
+from xx0chain.asym import barnes_g_integer, ferro_asymptotic, phi_n
 from xx0chain.boxcount import a_cspp, box_det_identity, macmahon, zq, zq_cspp
-from xx0chain.combinat import (
-    BoxDims,
-    count_lattice_path_families,
-    enumerate_column_strict_pp,
-    enumerate_plane_partitions,
-)
 from xx0chain.qexact import IndexTuples, LaurentPoly, binomial_determinant, exact_half
 from xx0chain.schur import (
     binet_cauchy_bruteforce,
@@ -39,6 +33,14 @@ from xx0chain.xx0core import (
     persistence_domain_wall,
     persistence_ferro,
     scalar_product,
+)
+
+from oracles import (
+    BoxDims,
+    count_lattice_path_families,
+    enumerate_column_strict_pp,
+    enumerate_plane_partitions,
+    mehta_integral,
 )
 
 

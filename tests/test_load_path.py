@@ -4,11 +4,14 @@ The package root serves its names on first use, `cli` loads only the modules
 its commands run, and `schur` (with `combinat`) and `fractions` (with
 `decimal`) load only where they are called.  Within one pytest session every
 module is loaded already, so each load path is checked in a fresh interpreter.
+The brute-force oracles live in tests/oracles.py and nowhere in the package.
 """
 
+import ast
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,8 @@ import pytest
 
 import xx0chain
 from xx0chain import cli, edoracle, xx0core
+
+import oracles
 
 SRC = str(Path(xx0chain.__file__).resolve().parents[1])
 CLI_MODULES = {
@@ -36,7 +41,7 @@ def run_fresh(code: str) -> str:
 
 class TestPackageRoot:
     def test_every_name_is_its_home_modules_object(self):
-        assert len(xx0chain.__all__) == 59
+        assert len(xx0chain.__all__) == 47
         for name in xx0chain.__all__:
             home = importlib.import_module(f"xx0chain.{xx0chain._HOMES[name]}")
             assert getattr(xx0chain, name) is getattr(home, name), name
@@ -48,6 +53,19 @@ class TestPackageRoot:
         with pytest.raises(AttributeError, match="no_such_name"):
             xx0chain.no_such_name  # noqa: B018
         assert not hasattr(xx0chain, "schur_jacobi")
+
+    def test_no_oracle_is_served_by_the_package(self):
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+        public = sorted(name for name in defined if not name.startswith("_"))
+        assert "count_lattice_path_families" in public and "DEFAULT_ENUM_BUDGET" in public
+        modules = [xx0chain] + [
+            importlib.import_module(f"xx0chain.{m.name}") for m in pkgutil.iter_modules(xx0chain.__path__)
+        ]
+        for module in modules:
+            served = [name for name in public if hasattr(module, name)]
+            assert served == [], module.__name__
 
     def test_vandermonde_stays_importable_from_schur(self):
         from xx0chain import qexact, schur

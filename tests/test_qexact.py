@@ -18,15 +18,14 @@ from xx0chain.qexact import (
     exact_det,
     exact_det_rational,
     exact_half,
-    es_special_L,
-    es_special_R,
     q,
     q_binomial,
     q_binomial_determinant,
     q_factorial,
     q_number,
-    q_vandermonde,
 )
+
+from oracles import es_special_L, es_special_R, q_vandermonde
 
 from math import comb
 

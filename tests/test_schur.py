@@ -6,18 +6,18 @@ import pytest
 
 from xx0chain.combinat import enumerate_partitions_in_box
 from xx0chain.errors import DegenerateInputError, EnumerationBudgetError
-from xx0chain.qexact import LaurentPoly, es_special_L, es_special_R, q
+from xx0chain.qexact import LaurentPoly, q
 from xx0chain.schur import (
     binet_cauchy_bruteforce,
     binet_cauchy_kernel,
     elementary_symmetric,
     kernel_entry,
     padded_schur_sum_bruteforce,
-    schur_bialternant,
     schur_jacobi_trudi,
-    schur_ssyt_oracle,
     vandermonde,
 )
+
+from oracles import es_special_L, es_special_R, schur_bialternant, schur_ssyt_oracle
 
 
 def random_points(rng, n, lo=0.5, hi=1.5):

@@ -30,6 +30,8 @@ from xx0chain.xx0core import (
 )
 from xx0chain.xx0core import _gram_log_value, _log_det
 
+from oracles import _mp_gram_log, _walk_count_amplitude
+
 
 def bethe_points(state, sign=+1):
     return tuple(cmath.exp(sign * 0.5j * t) for t in state.roots)
@@ -231,37 +233,6 @@ class TestMirroredBlockSum:
             assert abs(brute - lib) <= 1e-9 * max(1.0, abs(lib)), (M, N, n)
 
 
-def _walk_count_amplitude(mu, nu, beta, M):
-    """sum_K (beta/2)^K / K! W_K(nu -> mu), W_K the exact count of K-step walks.
-
-    -2H is the 0/1 hop adjacency of the spin sector, so this is <mu|exp(-beta H)|nu>.
-    A walk moves one of the non-colliding walkers to an empty neighbouring site of
-    the ring; the frontier maps each sorted site tuple to its walk count.  The sum
-    stops once the tail bound e (N beta)^K / K! falls below 1e-17 of it.
-    """
-    L = M + 1
-    target = tuple(sorted(mu))
-    frontier = {tuple(sorted(nu)): 1}
-    coeff, terms, K = 1.0, [], 0
-    while True:
-        terms.append(coeff * frontier.get(target, 0))
-        total = math.fsum(terms)
-        if total > 0 and math.e * (len(mu) * beta) ** K / math.factorial(K) < 1e-17 * total:
-            return total
-        step = {}
-        for sites, count in frontier.items():
-            for i, s in enumerate(sites):
-                for t in ((s + 1) % L, (s - 1) % L):
-                    if t not in sites:
-                        key = sites[:i] + (t,) + sites[i + 1:]
-                        if abs(t - s) > 1:  # the hop crossed the seam between sites M and 0
-                            key = tuple(sorted(key))
-                        step[key] = step.get(key, 0) + count
-        frontier = step
-        K += 1
-        coeff *= beta / 2 / K
-
-
 class TestWalkers:
     @pytest.mark.parametrize(
         "M, mu, nu, beta",
@@ -322,6 +293,18 @@ class TestWalkers:
                 F = amplitude_table(M, beta, len(mu_left))
                 want = complex(np.linalg.det(F[np.ix_(mu_left, mu_right)]))
                 assert walker_amplitude_multi(mu_left, mu_right, beta, M) == want
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "mu, nu, M, finite_beta, beta", [((5, 3), (4, 1), 7, 350, 700), ((9, 6, 2), (8, 5, 1), 11, 250, 300)]
+    )
+    def test_multi_overflow_raises(self, mu, nu, M, finite_beta, beta):
+        # numpy's det gives inf+nanj or -inf-infj here, with an overflow warning
+        F = amplitude_table(M, finite_beta, len(mu))
+        want = complex(np.linalg.det(F[np.ix_(mu, nu)]))
+        assert walker_amplitude_multi(mu, nu, finite_beta, M) == want and abs(want) > 1e270
+        with pytest.raises(OverflowError, match="double range"):
+            walker_amplitude_multi(mu, nu, beta, M)
 
     def test_endpoint_validation(self):
         with pytest.raises(ValueError):
@@ -489,41 +472,6 @@ def _table_contraction(kind, M, N, n, beta):
         s = [n - i for i in range(1, n + 1)]
         G = np.block([[U @ F.T @ U.conj().T, U @ F[s, :].T], [(U.conj() @ F[:, s]).T, F[np.ix_(s, s)]]])
     return math.exp(beta * energy(gs)) * np.linalg.det(G) / (M + 1) ** Ng
-
-
-def _mp_gram_log(kind, M, N, n, beta, dps=40):
-    """Log of the correlator as a plain Gram determinant of complex site sums, in dps digits.
-
-    Each site sum sum_{k=lo..M} z^k is the closed form (z^lo - z^(M+1)) / (1 - z),
-    the rows carry all their phases, the Gram matrix over the whole N-particle
-    momentum grid is formed entry by entry and mpmath takes its determinant;
-    nothing is shared with the library.
-    """
-    import mpmath
-
-    with mpmath.workdps(dps):
-        Ng, lo = (N, n) if kind == "ferro" else (N - n, 0)
-        unit = mpmath.pi / (M + 1)
-        grid = [2 * j - (N - 1) for j in range(M + 1)]  # the momenta pi 2m/(M+1), as 2m
-        ground = [2 * a - (Ng - 1) for a in range(Ng)]  # the Ng-particle ground state
-
-        def site_sum(d):
-            if d == 0:
-                return mpmath.mpf(M + 1 - lo)
-            z_lo, z_end = mpmath.expj(lo * d * unit), mpmath.expj((M + 1) * d * unit)
-            return (z_lo - z_end) / (1 - mpmath.expj(d * unit))
-
-        rows = [[site_sum(t - p) for p in grid] for t in ground]
-        rows += [[mpmath.expj(-r * p * unit) for p in grid] for r in reversed(range(N - Ng))]  # domain wall only
-        weights = [mpmath.exp(beta * mpmath.cos(p * unit)) for p in grid]
-        conj_rows = [[mpmath.conj(y) for y in row] for row in rows]
-        G = mpmath.matrix(N, N)
-        for a in range(N):
-            weighted = [w * x for w, x in zip(weights, rows[a])]
-            for b in range(N):
-                G[a, b] = mpmath.fdot(weighted, conj_rows[b])
-        e_gs = -mpmath.fsum(mpmath.cos(t * unit) for t in ground)
-        return float(mpmath.log(mpmath.re(mpmath.det(G))) + beta * e_gs - (N + Ng) * mpmath.log(M + 1))
 
 
 def _folded_gram(F, nx, Ng, N, w):
