@@ -1,26 +1,40 @@
 """Command-line front end.
 
-Subcommands: `correlator` (persistence / emptiness / walker tables),
-`count` (exact box counts and generating functions), `verify` (identity
-and oracle suites with a nonzero exit on any failure), and `asym`
-(exact-vs-asymptotic comparison tables).
+    xx0chain <command> [kind] [--option value | --option=value]...
+
+Commands: `correlator` (persistence / emptiness / walker tables), `count`
+(exact box counts and generating functions), `verify` (identity and oracle
+suites with a nonzero exit on any failure), and `asym` (exact-vs-asymptotic
+comparison tables).  Each command's kinds, options and defaults are the
+table _COMMANDS, which `xx0chain <command> --help` prints after this text.
+
+The kind may stand anywhere among the options.  The token after an option is
+its value, even one that begins with '-' (`--beta -0.5,1`).  List options
+take comma-separated values; a repeated option keeps its last value.  An
+option may be shortened to a prefix that no other option of its command
+shares (`--exact` for `--exact-max-M`).  `--inject-fault` takes no value: it
+makes `verify` perturb one kernel value, a negative control that must fail.
+`verify --suite` names suites, comma-separated (default: all), and `--out`
+writes to a file in place of stdout.
 
 Output is deterministic: fixed row order, floats at 15 significant digits,
 exact integers as decimal strings, polynomials as exponent->coefficient
-maps.  Exit codes: 0 ok, 1 verification failure, 2 usage error.
+maps.  Exit codes: 0 ok, 1 verification failure, 2 usage error.  A command
+line that does not parse prints its usage and the error on stderr, nothing
+on stdout; an argument outside a function's domain prints one
+`xx0chain <command>: ...` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import csv
-import functools
 import io
 import itertools
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,18 +50,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok != ""]
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None, command: str) -> None:
     if fmt == "json":
-        payload = {"command": command, "columns": columns, "rows": rows}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _indented({"command": command, "columns": columns, "rows": rows}) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -61,6 +74,27 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out_path: str | None, 
             )
         text = buf.getvalue()
     _write(text, out_path)
+
+
+def _indented(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for str keys, each flat level written by one C-encoder call.
+
+    json.dumps runs the pure-Python encoder whenever indent is set, but a
+    separator may hold the newline and indent itself: a dict or list whose
+    values are scalars or empty is one json.dumps, and only the levels above
+    it are joined here.
+    """
+    inner = pad + "  "
+    nested = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else None
+    if not nested:  # a scalar, or an empty container, which indent leaves as {} or []
+        return json.dumps(obj)
+    if not any(v and isinstance(v, (dict, list, tuple)) for v in nested):
+        text = json.dumps(obj, separators=("," + inner, ": "))
+    elif isinstance(obj, dict):
+        text = "{" + ("," + inner).join(json.dumps(k) + ": " + _indented(v, inner) for k, v in obj.items()) + "}"
+    else:
+        text = "[" + ("," + inner).join(_indented(v, inner) for v in obj) + "]"
+    return text[0] + inner + text[1:-1] + pad + text[-1]
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -319,72 +353,155 @@ def cmd_asym(args) -> int:
     return 0
 
 
-# -- parser ----------------------------------------------------------------
+# -- command table and parser ---------------------------------------------
+
+_OUTPUT = {"format": (("csv", "json"), "csv"), "out": (str, None)}
+
+# command -> (handler, kind choices or None, {option: (convert, default)}).  A
+# tuple convert lists the option's choices, bool marks a flag that takes no
+# value, and a callable default is read when a command line is parsed.
+_COMMANDS = {
+    "correlator": (cmd_correlator, ("ferro", "domain_wall", "efp", "walker"), {
+        "M": (_ints, [6]),
+        "N": (_ints, [2]),
+        "n": (_ints, [0]),
+        "beta": (_floats, [1.0]),
+        "method": (("determinant", "spectral_sum"), "determinant"),
+        "budget": (int, lambda: xx0core.SPECTRAL_BUDGET),
+        **_OUTPUT,
+    }),
+    "count": (cmd_count, ("macmahon", "zq", "zq_cspp", "a_cspp", "qbinom_det"), {
+        "L": (_ints, [2]),
+        "N": (_ints, [2]),
+        "P": (_ints, [2]),
+        **_OUTPUT,
+    }),
+    "verify": (cmd_verify, None, {
+        "suite": (str, ""),
+        "seed": (int, 0),
+        "tol": (float, 1e-9),
+        "sets": (int, 3),
+        "Lmax": (int, 3),
+        "Mmax": (int, 5),
+        "Nmax": (int, 2),
+        "budget": (int, 10**6),
+        "inject-fault": (bool, False),
+        "out": (str, None),
+    }),
+    "asym": (cmd_asym, ("ferro", "domain_wall"), {
+        "M": (_ints, [20]),
+        "N": (_ints, [2]),
+        "n": (_ints, [1]),
+        "beta": (_floats, [10.0]),
+        "exact-max-M": (int, 24),
+        **_OUTPUT,
+    }),
+}
 
 
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and reused by every later call of main."""
-    p = argparse.ArgumentParser(prog="xx0chain", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+def _usage(command: str | None) -> str:
+    if command is None:
+        head = "<command> [kind]"
+    else:
+        kinds = _COMMANDS[command][1]
+        head = command + (" {" + ",".join(kinds) + "}" if kinds else "")
+    return f"usage: xx0chain {head} [--option value | --option=value]..."
 
-    def common(sp):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default=None, help="write output to this file")
 
-    pc = sub.add_parser("correlator", help="persistence / emptiness / walker tables")
-    pc.add_argument("kind", choices=("ferro", "domain_wall", "efp", "walker"))
-    pc.add_argument("--M", type=_parse_int_list, default=[6])
-    pc.add_argument("--N", type=_parse_int_list, default=[2])
-    pc.add_argument("--n", type=_parse_int_list, default=[0])
-    pc.add_argument("--beta", type=_parse_float_list, default=[1.0])
-    pc.add_argument("--method", choices=("determinant", "spectral_sum"), default="determinant")
-    pc.add_argument("--budget", type=int, default=xx0core.SPECTRAL_BUDGET, help="spectral-sum state budget")
-    common(pc)
-    pc.set_defaults(func=cmd_correlator)
+def _help(command: str | None):
+    """Print the module docstring, then the commands or one command's options with their defaults; exit 0."""
+    lines = [__doc__.strip(), "", _usage(command)]
+    if command is None:
+        for name, (_, kinds, _) in _COMMANDS.items():
+            lines.append(f"  {name}" + (" {" + ",".join(kinds) + "}" if kinds else ""))
+    else:
+        for name, (convert, default) in _COMMANDS[command][2].items():
+            if convert is bool:
+                lines.append(f"  --{name}")
+                continue
+            default = default() if callable(default) else default
+            value = "{" + ",".join(convert) + "}" if isinstance(convert, tuple) else convert.__name__.strip("_").upper()
+            shown = ",".join(map(str, default)) if isinstance(default, list) else default
+            lines.append(f"  --{name} {value}  (default: {shown})")
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
 
-    pn = sub.add_parser("count", help="exact box counts and generating functions")
-    pn.add_argument("kind", choices=("macmahon", "zq", "zq_cspp", "a_cspp", "qbinom_det"))
-    pn.add_argument("--L", type=_parse_int_list, default=[2])
-    pn.add_argument("--N", type=_parse_int_list, default=[2])
-    pn.add_argument("--P", type=_parse_int_list, default=[2])
-    common(pn)
-    pn.set_defaults(func=cmd_count)
 
-    pv = sub.add_parser("verify", help="run identity and oracle suites")
-    pv.add_argument("--suite", default="", help="comma-separated suite names (default: all)")
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=float, default=1e-9)
-    pv.add_argument("--sets", type=int, default=3, help="random point sets per suite")
-    pv.add_argument("--Lmax", type=int, default=3)
-    pv.add_argument("--Mmax", type=int, default=5)
-    pv.add_argument("--Nmax", type=int, default=2)
-    pv.add_argument("--budget", type=int, default=10**6)
-    pv.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help="negative control: perturb one kernel value and expect failure",
-    )
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(func=cmd_verify)
+def _fail(command: str | None, message: str):
+    """A usage error: the usage line and the message on stderr, nothing on stdout; exit 2."""
+    sys.stderr.write(f"{_usage(command)}\nxx0chain{'' if command is None else ' ' + command}: error: {message}\n")
+    raise SystemExit(2)
 
-    pa = sub.add_parser("asym", help="exact vs asymptotic comparison table")
-    pa.add_argument("kind", choices=("ferro", "domain_wall"))
-    pa.add_argument("--M", type=_parse_int_list, default=[20])
-    pa.add_argument("--N", type=_parse_int_list, default=[2])
-    pa.add_argument("--n", type=_parse_int_list, default=[1])
-    pa.add_argument("--beta", type=_parse_float_list, default=[10.0])
-    pa.add_argument("--exact-max-M", dest="exact_max_M", type=int, default=24)
-    common(pa)
-    pa.set_defaults(func=cmd_asym)
 
-    return p
+def _option(command: str, options: dict, name: str) -> str:
+    """The option that name spells or, failing that, the one option it is a prefix of."""
+    if name in options or name == "help":
+        return name
+    hits = [opt for opt in (*options, "help") if opt.startswith(name)]
+    if len(hits) > 1:
+        _fail(command, f"ambiguous option: --{name} could match {', '.join('--' + h for h in hits)}")
+    if not hits:
+        _fail(command, f"unrecognized arguments: --{name}")
+    return hits[0]
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """One pass over a command line, read against _COMMANDS; SystemExit on a usage error or --help."""
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and argv[0] in ("-h", "--help"):
+            _help(None)
+        _fail(None, f"invalid command {argv[0]!r}" if argv else "a command is required")
+    command = argv[0]
+    kinds, options = _COMMANDS[command][1:]
+    values = {name: default() if callable(default) else default for name, (_, default) in options.items()}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token == "-h":
+            _help(command)
+        if not token.startswith("--"):
+            _fail(command, f"unrecognized arguments: {token}")
+        name, eq, text = token[2:].partition("=")
+        name = _option(command, options, name)
+        if name == "help":
+            _help(command)
+        convert = options[name][0]
+        if convert is bool:
+            if eq:
+                _fail(command, f"argument --{name}: ignored explicit argument {text!r}")
+            values[name] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                _fail(command, f"argument --{name}: expected one argument")
+        if isinstance(convert, tuple):
+            if text not in convert:
+                _fail(command, f"argument --{name}: invalid choice: {text!r} (choose from {', '.join(convert)})")
+            values[name] = text
+            continue
+        try:
+            values[name] = convert(text)
+        except ValueError:
+            _fail(command, f"argument --{name}: invalid value: {text!r}")
+    if kinds is not None:
+        if not positionals:
+            _fail(command, "the following arguments are required: kind")
+        if positionals[0] not in kinds:
+            _fail(command, f"argument kind: invalid choice: {positionals[0]!r} (choose from {', '.join(kinds)})")
+        values["kind"] = positionals.pop(0)
+    if positionals:
+        _fail(command, f"unrecognized arguments: {' '.join(positionals)}")
+    return SimpleNamespace(command=command, **{name.replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except ValueError as exc:  # the library's domain checks: an out-of-range argument
         sys.stderr.write(f"xx0chain {args.command}: {exc}\n")
         return 2

@@ -278,7 +278,7 @@ def _times_exp(value: complex, exponent: float, beta: float) -> complex:
 
 def thermal_operator(M: int, N: int, beta) -> np.ndarray:
     """exp(-beta * H) = Y^H exp(-beta (w - E0)) Y exp(-beta E0), Y the eigen-coordinates of the identity;
-    a real array, OverflowError beyond double range.  beta is real; anything else raises ValueError.
+    a real array, OverflowError beyond double range.  beta is real and finite; anything else raises ValueError.
     For tests; the oracle never forms it.  It stays in the library because the benchmark's per-layer
     metrics trace it (edoracle.thermal_operator.calls and .self_s)."""
     beta = _real_beta(beta)
@@ -346,7 +346,7 @@ def oracle_correlator(kind: str, M: int, N: int, n: int = 0, beta=0.0, endpoints
     H's lowest eigenvector; both ratios are quadratic in it, so its scale and sign cancel.
     Each sector's lowest energy E0 is factored out of its Boltzmann weights, so the ferro
     ratio is sum |c_j|^2 exp(-beta (w_j - E0)) / |psi|^2 over the eigen-coordinates c_j of
-    P psi; a value beyond double range raises OverflowError.  beta is real, and anything else
+    P psi; a value beyond double range raises OverflowError.  beta is real and finite, and anything else
     raises ValueError for every kind; the values are real, as complex numbers with a zero imaginary
     part.  The chain and n are checked as persistence_ferro and persistence_domain_wall check them.
     Accuracy floor: E0 from eigh is ~1.2e-15 off the Bethe energy (rms, 114 sectors with M <= 16), and

@@ -230,10 +230,13 @@ def _twice_m(M: int, N: int) -> np.ndarray:
 
 
 def _real_beta(beta) -> float:
-    """beta as a float; ValueError unless its imaginary part is zero."""
-    if complex(beta).imag:
+    """beta as a float; ValueError unless its imaginary part is zero and its real part finite."""
+    b = complex(beta)
+    if b.imag:
         raise ValueError(f"beta must be real, got {beta!r}")
-    return complex(beta).real
+    if not math.isfinite(b.real):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    return b.real
 
 
 @lru_cache(maxsize=64)
@@ -252,7 +255,7 @@ def amplitude_table(M: int, beta, n_particles: int = 1) -> np.ndarray:
     Entry [k, l] is the generating function of one walker travelling from
     site l to site k, built on the momentum grid of the n_particles sector
     (only the parity of n_particles matters); it is f[k - l + M] for the 2M+1
-    cached values f.  beta is real; anything else raises ValueError.
+    cached values f.  beta is real and finite; anything else raises ValueError.
     """
     if M < 0 or n_particles < 1:
         raise ValueError("need M >= 0 and n_particles >= 1")
@@ -263,7 +266,7 @@ def amplitude_table(M: int, beta, n_particles: int = 1) -> np.ndarray:
 
 
 def walker_amplitude(k: int, l: int, beta, M: int) -> complex:
-    """Single-walker amplitude between sites l and k at real inverse temperature beta (else ValueError)."""
+    """Single-walker amplitude between sites l and k at real, finite inverse temperature beta (else ValueError)."""
     if not (0 <= k <= M and 0 <= l <= M):
         raise ValueError("sites must lie in 0..M")
     return complex(_amplitude_table_cached(M, _real_beta(beta), False)[k - l + M])
@@ -273,7 +276,7 @@ def walker_amplitude_multi(mu_left, mu_right, beta, M: int) -> complex:
     """Amplitude for N non-colliding walkers: determinant of single-walker entries.
 
     Endpoints are strictly decreasing site tuples of equal length; the
-    single-walker entries are taken on the N-particle momentum grid.  Real beta only, else ValueError;
+    single-walker entries are taken on the N-particle momentum grid.  Real, finite beta only, else ValueError;
     a determinant beyond double range raises OverflowError.
     """
     beta = _real_beta(beta)
@@ -597,7 +600,7 @@ def persistence_ferro(
     The determinant path's estimate is the pivot ratio of the folded Gram's
     Cholesky; a value whose Cholesky fails or whose estimate passes
     PIVOT_RATIO_WARNING is recomputed by a sorted QR and warned with estimate
-    nan.  A value above 1 is warned too.  The value is 1 at n = 0.  beta is real;
+    nan.  A value above 1 is warned too.  The value is 1 at n = 0.  beta is real and finite;
     else ValueError, also at n = 0 or N = 0.
     """
     return _persistence("ferro", M, N, n, beta, method, max_states)
@@ -612,7 +615,7 @@ def persistence_domain_wall(
     n plane-wave rows; the two paths are det(C W C^H) and its Cauchy-Binet
     expansion, warned and recomputed as for persistence_ferro; the
     determinant path runs in real arithmetic only.  The value is 1 at
-    n = 0.  beta is real; anything else raises ValueError, also at n = 0 or
+    n = 0.  beta is real and finite; anything else raises ValueError, also at n = 0 or
     N = 0.
     """
     return _persistence("domain_wall", M, N, n, beta, method, max_states)

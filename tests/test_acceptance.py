@@ -6,14 +6,11 @@ lines.
 """
 
 import cmath
-import json
 import math
 import time
 from fractions import Fraction
-from math import comb
 
 import numpy as np
-import pytest
 
 from xx0chain import cli, edoracle
 from xx0chain.asym import barnes_g_integer, ferro_asymptotic, phi_n

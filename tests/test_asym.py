@@ -1,10 +1,8 @@
 import math
-from fractions import Fraction
 
 import pytest
 
 from xx0chain.asym import (
-    AsymptoticEstimate,
     barnes_g_integer,
     domain_wall_asymptotic,
     ferro_asymptotic,

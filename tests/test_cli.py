@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from xx0chain import cli, xx0core
 
@@ -25,10 +27,23 @@ class TestCorrelator:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 6
 
-    def test_budget_defaults_to_the_spectral_budget(self, monkeypatch):
+    def test_budget_defaults_to_the_spectral_budget(self, capsys, monkeypatch):
+        # (8,3) has 84 Bethe states: within the budget, and past it once the constant falls to 17
+        argv = ["correlator", "ferro", "--M", "8", "--N", "3", "--n", "1", "--method", "spectral_sum"]
+        (row,) = csv.DictReader(io.StringIO(run_cli(argv, capsys)[1]))
+        assert row["method"] == "spectral_sum"
         monkeypatch.setattr(xx0core, "SPECTRAL_BUDGET", 17)
-        fresh = cli._build_parser.__wrapped__()  # the cached parser read the constant when first built
-        assert fresh.parse_args(["correlator", "ferro"]).budget == 17
+        (row,) = csv.DictReader(io.StringIO(run_cli(argv, capsys)[1]))
+        assert row["method"] == "budget-exceeded"
+        assert run_cli(argv + ["--budget", "84"], capsys)[1].splitlines()[1].endswith(",spectral_sum,")
+
+    def test_negative_beta_list_after_a_space(self, capsys):
+        # the token after --beta is its value, even where it reads like an option
+        for beta in ("-0.5,1", "-1e-3"):
+            argv = ["correlator", "ferro", "--M", "10", "--N", "3", "--n", "2"]
+            rc, spaced = run_cli(argv + ["--beta", beta], capsys)
+            assert rc == 0 and spaced == run_cli(argv + [f"--beta={beta}"], capsys)[1]
+            assert len(spaced.splitlines()) == 1 + beta.count(",") + 1
 
     def test_n_zero_rows_are_one(self, capsys):
         rc, out = run_cli(
@@ -163,6 +178,19 @@ class TestCount:
         rc, out = run_cli(["count", "qbinom_det", "--L", "1200", "--N", "1", "--P", "1", "--format", "json"], capsys)
         assert rc == 0
         assert json.loads(out)["rows"][0]["value"] == {str(e): "1" for e in range(1201)}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES)
+@example({"rows": [{"value": {}, "é": "ß→∞"}, {}], "columns": [[], ["x"]], "n": 1.5e-300})
+def test_indented_json_is_the_indent_2_encoding(obj):
+    assert cli._indented(obj) == json.dumps(obj, indent=2)
 
 
 # sha256 of stdout, recorded before the exact layer moved to integer arithmetic;
@@ -422,13 +450,65 @@ class TestParser:
         ["correlator", "ferro", "--M", "7", "--N", "2", "--n", "1,2", "--beta", "0,1"],
     ]
 
-    def test_built_once_and_reused_verbatim(self, capsys):
-        cli._build_parser.cache_clear()
-        reused = [run_cli(argv, capsys) for argv in self.SEQUENCE]
-        assert cli._build_parser.cache_info().misses == 1
-        for argv, got in zip(self.SEQUENCE, reused):
-            cli._build_parser.cache_clear()
-            assert run_cli(argv, capsys) == got, argv
+    def test_outputs_do_not_depend_on_what_ran_before(self, capsys):
+        forward = [run_cli(argv, capsys) for argv in self.SEQUENCE]
+        backward = [run_cli(argv, capsys) for argv in reversed(self.SEQUENCE)]
+        assert forward == backward[::-1]
+        assert forward[0] == forward[-1]
+
+    def test_kind_and_prefixes_anywhere(self, capsys):
+        argv = ["asym", "ferro", "--M", "20", "--N", "2", "--n", "1", "--beta", "10", "--exact-max-M", "30"]
+        want = run_cli(argv, capsys)
+        for argv in (
+            ["asym", "--M", "20", "ferro", "--N", "2", "--n", "1", "--beta", "10", "--exact-max-M", "30"],
+            ["asym", "--M=20", "--N=2", "--n=1", "--be=10", "--exact", "30", "ferro"],
+            ["asym", "ferro", "--M", "40", "--M", "20", "--N", "2", "--n", "1", "--beta", "10", "--e=30"],
+        ):
+            assert run_cli(argv, capsys) == want, argv
+
+    # a command line that does not parse: usage and error on stderr, nothing on stdout, exit 2
+    MALFORMED = [
+        [],
+        ["nonsense"],
+        ["correlator", "ferro", "--X", "1"],
+        ["correlator", "ferro", "--b", "1"],  # --beta or --budget
+        ["correlator", "ferro", "--M"],
+        ["correlator", "ferro", "--format", "xml"],
+        ["correlator", "ferro", "--method=lu"],
+        ["correlator", "nonsense"],
+        ["correlator", "ferro", "--M", "x"],
+        ["verify", "--tol", "small"],
+        ["correlator", "--M", "7"],
+        ["correlator", "ferro", "walker"],
+        ["verify", "extra"],
+        ["verify", "--inject-fault=1"],
+        ["count", "zq", "-L", "2"],
+    ]
+
+    @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+    def test_malformed_command_line_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: xx0chain ") and " error: " in error
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_names_every_option(self, command, capsys):
+        _, kinds, options = cli._COMMANDS[command]
+        for argv in ([command, "--help"], [command, "--out=x", "-h"], [command, "--he"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            out = capsys.readouterr().out
+            assert exc.value.code == 0 and out.startswith(cli.__doc__.strip())
+            named = {line.split()[0] for line in out.splitlines() if line.startswith("  --")}
+            assert named == {f"--{name}" for name in options}
+            assert all(kind in out for kind in kinds or ())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0 and f"  {command}" in capsys.readouterr().out
 
     # arguments outside a function's domain: one stderr line naming the constraint, exit 2
     OUT_OF_DOMAIN = [
@@ -438,6 +518,8 @@ class TestParser:
         ("asym domain_wall --N 2 --n 3", "need 0 <= n <= N and M >= N - 1"),
         ("correlator ferro --M 5 --N 3 --n 9", "need 0 <= n <= M+1"),
         ("correlator ferro --M 5 --N 9", "need 0 <= N <= M+1"),
+        ("correlator ferro --beta inf", "beta must be finite"),
+        ("correlator ferro --beta nan", "beta must be finite"),
         ("count zq_cspp --N 3 --P 1", "P >= N-1"),
         ("count macmahon --L -1", "box sides must be non-negative"),
         ("count qbinom_det --L -1 --N 2 --P 2", "box sides must be non-negative"),

@@ -87,12 +87,13 @@ class TestPackageRoot:
 
 
 def test_cli_loads_only_what_its_commands_run():
-    # the count, correlator and asym commands and box_det_identity load nothing more
+    # the count, correlator and asym commands and box_det_identity load nothing more; the
+    # command line is read without argparse, which brings gettext and locale with it
     code = (
         "import contextlib, io, json, sys\n"
         "def loaded():\n"
         "    mods = sorted(m for m in sys.modules if m.startswith('xx0chain'))\n"
-        "    return mods, [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+        "    return mods, [m for m in ('fractions', 'decimal', 'argparse', 'gettext', 'locale') if m in sys.modules]\n"
         "import xx0chain.cli as cli\n"
         "steps = [loaded()]\n"
         "for argv in (['count', 'zq', '--L', '3', '--N', '3', '--P', '3'],\n"
@@ -129,3 +130,26 @@ def test_call_time_imports_run_in_a_fresh_interpreter(capsys):
         got = run_fresh(f"from xx0chain import cli, edoracle, xx0core\n{call}\n")
         exec(call, {"cli": cli, "edoracle": edoracle, "xx0core": xx0core})
         assert got == capsys.readouterr().out, call
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; __future__ imports and names in __all__ are exempt."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name.partition(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names if alias.name != "*"})
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(e.value for e in getattr(node.value, "elts", ()) if isinstance(e, ast.Constant))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_import_is_read():
+    # the package and the tests; xx0bench/worker.py imports xx0chain.cli unread on purpose, as set-up
+    paths = sorted(Path(xx0chain.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(paths) > 20
+    assert [name for path in paths for name in _unread_imports(path)] == []
