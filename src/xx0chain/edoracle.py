@@ -4,9 +4,10 @@ Each down-spin sector is one array of site rows in colex order (SectorBasis).
 On it the hopping Hamiltonian H is one hop list (_hops), the n-site projector
 and the n-site down-spin insertion are whole-array moves, and every correlator
 is a literal matrix element on H's eigenpairs.  H commutes with the translation
-of the ring, so its eigenpairs are taken one lattice momentum at a time: dense
+T of the ring, so its eigenpairs are taken one lattice momentum at a time: dense
 blocks on the plane waves of the translation orbits (Sandvik, AIP Conf. Proc.
-1297 (2010), sec. 4), built from the hops of the orbit representatives alone.
+1297 (2010), sec. 4), built from the hops of the orbit representatives alone and
+found by pointer jumping over the powers of T, ranked once as a permutation.
 The ring's reflection composed with complex conjugation keeps each momentum, so
 on the waves it leaves fixed every block is real symmetric: one real eigh for
 each pair of conjugate momenta, reached from a sector vector by one FFT along
@@ -23,7 +24,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -42,8 +43,8 @@ __all__ = [
 ]
 
 SECTOR_BUDGET = 5000
-# sectors or chains per cache; within SECTOR_BUDGET a sector keeps <= 6.1 MiB and its cold build
-# peaks at <= 13.5 MiB, both at (15,11); a chain keeps 40 kB
+# sectors or chains per cache; within SECTOR_BUDGET a sector keeps <= 5.9 MiB (19,16) and its cold build
+# peaks at <= 13.3 MiB (15,11), save (M, M), whose (M+1) x M basis is 191 MiB at M = 4999; a chain keeps 40 kB
 ED_CACHE_SIZE = 4
 
 
@@ -92,12 +93,13 @@ class SectorBasis:
 
 @lru_cache(maxsize=ED_CACHE_SIZE)
 def sector_basis(M: int, N: int) -> SectorBasis:
+    """The sector by one fromiter: combinations of the descending sites come in descending colex order."""
     ChainParams(M, N)
     dim = comb(M + 1, N)
     if dim > SECTOR_BUDGET:
         raise EnumerationBudgetError(f"sector dimension {dim} exceeds budget {SECTOR_BUDGET}")
-    # combinations of the descending sites come in descending colex order
-    configs = np.array(list(combinations(range(M, -1, -1), N))[::-1], dtype=np.intp).reshape(dim, N)
+    flat = np.fromiter(chain.from_iterable(combinations(range(M, -1, -1), N)), np.intp, dim * N)
+    configs = flat.reshape(dim, N)[::-1]
     configs.setflags(write=False)
     return SectorBasis(M, N, configs)
 
@@ -133,7 +135,10 @@ def _translation_orbits(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The sector's orbits under the translation T, which moves every site s to s + 1 mod M + 1.
 
     Returns (table, periods): table[r, l] is the rank of T^l a_r for l = 0..M, where a_r =
-    table[r, 0] is orbit r's representative, and periods[r] is the orbit's length.
+    table[r, 0] is orbit r's representative, and periods[r] is the orbit's length.  T is ranked once,
+    as a permutation p of the ranks: pointer jumping over its powers p = T^(2^r) gives each orbit's
+    least rank, its representative, and doubles the table's columns.  Holes take the down spins' place
+    where they are fewer.
     """
     L = M + 1
     if 0 <= L - N < N:  # T commutes with taking complements, which come in reverse colex order
@@ -142,12 +147,12 @@ def _translation_orbits(M: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     configs = sector_basis(M, N).configurations
     if N == 0:
         return np.zeros((1, L), dtype=np.intp), np.ones(1, dtype=np.intp)
-    # the colex-least row of an orbit has a down spin on site 0, so it is the least of the
-    # N rotations that move one of the row's own down spins there
-    least = np.min([_rank_sites(M, (configs - configs[:, [j]]) % L) for j in range(N)], axis=0)
-    reps = configs[least == np.arange(len(configs))]
-    moved = (reps[:, None, :] + np.arange(L)[:, None]) % L  # (orbit, l, particle)
-    table = _rank_sites(M, moved.reshape(-1, N)).reshape(len(reps), L)
+    least, p, powers = np.arange(len(configs)), _rank_sites(M, (configs + 1) % L), []
+    for _ in range(M.bit_length()):  # after r rounds, p = T^(2^r) and least[a] = min rank of T^l a, l < 2^r
+        least, p, powers = np.minimum(least, least[p]), p[p], powers + [p]
+    table = np.flatnonzero(least == np.arange(len(configs)))[:, None]
+    for p in powers:  # columns 2^r.. are T^(2^r) of columns 0.., up to L in all
+        table = np.concatenate((table, p[table[:, : L - table.shape[1]]]), axis=1)
     return table, L // (table == table[:, :1]).sum(axis=1)
 
 

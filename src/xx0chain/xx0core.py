@@ -242,9 +242,9 @@ def _real_beta(beta) -> float:
 @lru_cache(maxsize=64)
 def _amplitude_table_cached(M: int, beta: float, parity_even: bool) -> np.ndarray:
     phi = pi * _twice_m(M, 2 if parity_even else 1) / (M + 1)
-    w = np.exp(beta * np.cos(phi) + 0j) / (M + 1)  # complex exp: the pinned tables hold its last bits
-    d = np.arange(-M, M + 1)
-    f = np.exp(1j * np.outer(d, phi)) @ w
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN entries past double range, for the callers to refuse
+        w = np.exp(beta * np.cos(phi) + 0j) / (M + 1)  # complex exp: the pinned tables hold its last bits
+        f = np.exp(1j * np.outer(np.arange(-M, M + 1), phi)) @ w
     f.setflags(write=False)
     return f
 
@@ -255,7 +255,8 @@ def amplitude_table(M: int, beta, n_particles: int = 1) -> np.ndarray:
     Entry [k, l] is the generating function of one walker travelling from
     site l to site k, built on the momentum grid of the n_particles sector
     (only the parity of n_particles matters); it is f[k - l + M] for the 2M+1
-    cached values f.  beta is real and finite; anything else raises ValueError.
+    cached values f.  beta is real and finite; anything else raises ValueError.  Entries beyond
+    double range come out NaN, with no numpy warning.
     """
     if M < 0 or n_particles < 1:
         raise ValueError("need M >= 0 and n_particles >= 1")
@@ -266,10 +267,14 @@ def amplitude_table(M: int, beta, n_particles: int = 1) -> np.ndarray:
 
 
 def walker_amplitude(k: int, l: int, beta, M: int) -> complex:
-    """Single-walker amplitude between sites l and k at real, finite inverse temperature beta (else ValueError)."""
+    """Single-walker amplitude between sites l and k at real, finite inverse temperature beta (else ValueError);
+    OverflowError beyond double range."""
     if not (0 <= k <= M and 0 <= l <= M):
         raise ValueError("sites must lie in 0..M")
-    return complex(_amplitude_table_cached(M, _real_beta(beta), False)[k - l + M])
+    value = complex(_amplitude_table_cached(M, _real_beta(beta), False)[k - l + M])
+    if not np.isfinite(value):
+        raise OverflowError(f"walker amplitude beyond double range at beta = {beta}")
+    return value
 
 
 def walker_amplitude_multi(mu_left, mu_right, beta, M: int) -> complex:
@@ -555,6 +560,8 @@ def _spectral_log_value(kind: str, M: int, N: int, n: int, beta: float) -> float
 def _check_correlator(kind: str, M: int, N: int, n: int) -> None:
     """The chain and the range of n that each correlator kind accepts."""
     ChainParams(M, N)
+    if M == 0:  # on one site the bond term is -1/2 in every sector, which the Bethe energies miss
+        raise ValueError("need M >= 1: a ring of one site has no bond")
     if kind == "ferro" and not 0 <= n <= M + 1:
         raise ValueError("need 0 <= n <= M+1")
     if kind == "domain_wall" and not 0 <= n <= N:

@@ -11,7 +11,8 @@ computes another way:
   Jacobi-Trudi determinant of schur;
 - the q-Vandermonde convolution and e_r at geometric points, against
   qexact.q_binomial;
-- the dense domain-wall insertion, against edoracle's whole-array one;
+- the sector rows and their translation orbits from sorted and rotated tuples,
+  and the dense domain-wall insertion, against edoracle's whole-array ones;
 - the Gaussian-ensemble integral, Phi(N, M, beta) and the decreasing-regime
   predicate of the low-temperature estimates in asym;
 - exact walk counts, against xx0core.walker_amplitude_multi, and a 40-digit
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, prod
 from typing import Iterator
 
@@ -311,6 +313,30 @@ def es_special_L(r: int, N: int) -> LaurentPoly:
 
 
 # -- exact diagonalization -----------------------------------------------
+
+
+def sector_rows(M: int, N: int) -> list[tuple[int, ...]]:
+    """The N-down-spin rows of the (M+1)-site ring: each a decreasing tuple of sites, in colex
+    order, that is by ascending occupation bitmask."""
+    rows = (tuple(sorted(c, reverse=True)) for c in combinations(range(M + 1), N))
+    return sorted(rows, key=lambda row: sum(1 << s for s in row))
+
+
+def translation_orbits(M: int, N: int) -> tuple[list[list[int]], list[int]]:
+    """(table, periods) as edoracle._translation_orbits gives them, by rotating tuples: an orbit
+    for each row that no earlier row reaches, table[r][l] the index of that row moved by l sites.
+    Rows come in colex order, or in the colex order of their holes where holes are fewer (L - N < N)."""
+    rows, L = sector_rows(M, N), M + 1
+    if L - N < N:
+        rows = [tuple(s for s in range(M, -1, -1) if s not in holes) for holes in sector_rows(M, L - N)]
+    index, seen, table, periods = {row: i for i, row in enumerate(sector_rows(M, N))}, set(), [], []
+    for row in rows:
+        if row not in seen:
+            orbit = [tuple(sorted(((s + l) % L for s in row), reverse=True)) for l in range(L)]
+            seen.update(orbit)
+            table.append([index[moved] for moved in orbit])
+            periods.append(len(set(orbit)))
+    return table, periods
 
 
 def domain_wall_insertion(M: int, N: int, n: int) -> np.ndarray:

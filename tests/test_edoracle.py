@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from xx0chain.xx0core import (
     persistence_ferro,
 )
 
-from oracles import domain_wall_insertion
+from oracles import domain_wall_insertion, sector_rows, translation_orbits
 
 
 def bethe_vector(state):
@@ -67,6 +68,61 @@ class TestBasis:
     def test_budget(self):
         with pytest.raises(EnumerationBudgetError):
             sector_basis(20, 10)
+
+
+def set_up_sectors():
+    """A seeded sweep of sectors of at most 1000 states, and the edge cases: the complement branch
+    (L - N < N), N = 0 and N = M + 1, the one-site ring, (4999,1) and (60,59)."""
+    rng, drawn = np.random.default_rng(36), []
+    while len(drawn) < 40:
+        M = int(rng.integers(1, 24))
+        N = int(rng.integers(0, M + 2))
+        if comb(M + 1, N) <= 1000:
+            drawn.append((M, N))
+    return [(0, 0), (0, 1), (9, 0), (9, 10), (9, 7), (14, 10), (4999, 1), (60, 59)] + drawn
+
+
+class TestSectorSetUp:
+    # the basis from one fromiter, the orbits from T as a permutation of the ranks by pointer jumping,
+    # against the sorted and rotated tuples of tests/oracles.py
+    def test_basis_is_the_sorted_tuples(self):
+        for M, N in set_up_sectors():
+            configs = sector_basis(M, N).configurations
+            assert configs.shape == (comb(M + 1, N), N) and configs.dtype == np.intp, (M, N)
+            assert configs.tolist() == [list(row) for row in sector_rows(M, N)], (M, N)
+
+    def test_orbits_are_the_rotated_tuples(self):
+        for M, N in set_up_sectors():
+            table, periods = edoracle._translation_orbits(M, N)
+            want_table, want_periods = translation_orbits(M, N)
+            assert table.tolist() == want_table and periods.tolist() == want_periods, (M, N)
+
+    def test_orbits_rank_the_sector_once(self, monkeypatch):
+        # T is ranked once as a permutation; the orbits and the table follow by indexing alone
+        rank, calls = edoracle._rank_sites, []
+        monkeypatch.setattr(edoracle, "_rank_sites", lambda M, rows: calls.append(len(rows)) or rank(M, rows))
+        for M, N in [(11, 5), (13, 4), (4999, 1), (60, 2)]:
+            sector_basis(M, N)
+            calls.clear()
+            edoracle._translation_orbits(M, N)
+            assert calls == [comb(M + 1, N)], (M, N)
+
+    def test_cold_set_up_of_a_large_sector(self, monkeypatch):
+        # (17,8) has 43758 states: ranking every rotation of the sector peaked at 13.4 MiB, ranking T once
+        # as a permutation and keeping its powers at 11.4 MiB
+        import tracemalloc
+
+        monkeypatch.setattr(edoracle, "SECTOR_BUDGET", 10**5)
+        edoracle.sector_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            table, periods = edoracle._translation_orbits(17, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            edoracle.sector_basis.cache_clear()
+        assert table.shape == (len(periods), 18) and periods.sum() == comb(18, 8)
+        assert peak < 12.5 * 2**20, peak
 
 
 def literal_hamiltonian(M, N):
@@ -294,6 +350,29 @@ class TestOracleCorrelators:
                     else:
                         assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (kind, M, N, n)
 
+    def test_small_rings_agree_on_all_three_paths_or_all_raise(self):
+        # on one site the bond term -1/2 (s+s- + s-s+) is -1/2 in every sector, so the domain wall
+        # (0,1,1) is 1, where the Bethe energies gave e^beta: the one-site ring is refused everywhere
+        for M in range(3):
+            for N in range(M + 2):
+                for kind, persistence in (("ferro", persistence_ferro), ("domain_wall", persistence_domain_wall)):
+                    for n, beta in itertools.product(range(-1, M + 3), (0.0, 0.5, 3.0)):
+                        values = []
+                        for path in (
+                            lambda: persistence(M, N, n, beta).value,
+                            lambda: persistence(M, N, n, beta, method="spectral_sum").value,
+                            lambda: oracle_correlator(kind, M, N, n, beta),
+                        ):
+                            try:
+                                values.append(complex(path()))
+                            except ValueError:
+                                values.append(None)
+                        case = (kind, M, N, n, beta, values)
+                        if M == 0 or None in values:
+                            assert values == [None] * 3, case
+                        else:
+                            assert max(abs(v - values[2]) for v in values) <= 1e-12, case
+
     def test_matches_the_literal_matrix_element(self):
         # x^H exp(-beta H) x from a dense eigendecomposition of the whole sector
         def expectation(M, N, beta, x):
@@ -403,9 +482,10 @@ def block_eigenvectors(L, block):
 
 
 def oracle_grid():
-    """(kind, M, N, n) over BLOCK_SECTORS with M <= 12: ferro for every n that leaves a state, the
-    domain wall for every n whose ground-state sector is in the grid too."""
-    sectors = {(M, N) for M, N in BLOCK_SECTORS if M <= 12}
+    """(kind, M, N, n) over BLOCK_SECTORS with 1 <= M <= 12 (the correlators refuse the one-site ring):
+    ferro for every n that leaves a state, the domain wall for every n whose ground-state sector is in
+    the grid too."""
+    sectors = {(M, N) for M, N in BLOCK_SECTORS if 1 <= M <= 12}
     for M, N in sorted(sectors):
         yield from (("ferro", M, N, n) for n in range(M + 2 - N))
         yield from (("domain_wall", M, N, n) for n in range(N + 1) if (M, N - n) in sectors)

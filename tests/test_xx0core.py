@@ -306,6 +306,14 @@ class TestWalkers:
         with pytest.raises(OverflowError, match="double range"):
             walker_amplitude_multi(mu, nu, beta, M)
 
+    def test_single_overflow_raises(self):
+        # exp(beta) overflows at beta = 800: the table holds NaN, with no numpy warning (an error in this
+        # test run), and the single walker refuses it as the multi-walker determinant does
+        xx0core._amplitude_table_cached.cache_clear()
+        assert np.isnan(amplitude_table(7, 800.0)).all()
+        with pytest.raises(OverflowError, match="double range"):
+            walker_amplitude(1, 4, 800.0, 7)
+
     def test_endpoint_validation(self):
         with pytest.raises(ValueError):
             walker_amplitude_multi((1, 2), (2, 1), 1.0, 4)
@@ -337,8 +345,9 @@ class TestPersistenceBasics:
                     assert abs(cmath.exp(log_value) - 1.0) <= 1e-12
 
     def test_ferro_beta_zero_is_efp(self):
-        # two library paths to one value: the Gram determinant at beta = 0 and the sine-kernel form factor
-        for M in range(16):
+        # two library paths to one value: the Gram determinant at beta = 0 and the sine-kernel form factor;
+        # the correlators refuse the one-site ring
+        for M in range(1, 16):
             for N in range(M + 2):
                 gs = ground_state(M, N)
                 for n in range(M + 2):
